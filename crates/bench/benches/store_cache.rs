@@ -1,12 +1,14 @@
 //! Cold vs. warm pipeline runs through the artifact store: how much
 //! wall-clock a populated cache saves, and what the store machinery
-//! itself (hashing, serialization, checksumming) costs on a hit.
+//! itself (hashing, serialization, checksumming) costs on a hit; and
+//! the SHA-256 kernels behind every key and checksum.
 
 use cbsp_core::CbspConfig;
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
 use cbsp_sim::record_trace;
+use cbsp_store::sha256::{compress_blocks, compress_blocks_portable, INITIAL_STATE};
 use cbsp_store::{put_trace_legacy, ArtifactStore, CachePolicy, Orchestrator, TraceCache};
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::path::PathBuf;
 
 fn setup(name: &str) -> (Vec<Binary>, Input, CbspConfig) {
@@ -134,5 +136,35 @@ fn bench_blob_vs_json_cold(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cold_vs_warm, bench_blob_vs_json_cold);
+/// The SHA-256 compression function over a 4 MiB buffer: the portable
+/// FIPS 180-4 code, and whatever `compress_blocks` dispatches to on
+/// this CPU (the SHA-NI kernel when the CPU has the SHA extensions).
+fn bench_sha256(c: &mut Criterion) {
+    const LEN: usize = 4 << 20;
+    let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+    let mut group = c.benchmark_group("sha256");
+    group.throughput(Throughput::Bytes(LEN as u64));
+    group.bench_function("portable", |b| {
+        b.iter(|| {
+            let mut state = INITIAL_STATE;
+            compress_blocks_portable(&mut state, black_box(&data));
+            state
+        })
+    });
+    group.bench_function("dispatched", |b| {
+        b.iter(|| {
+            let mut state = INITIAL_STATE;
+            compress_blocks(&mut state, black_box(&data));
+            state
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_cold_vs_warm,
+    bench_blob_vs_json_cold,
+    bench_sha256
+);
 criterion_main!(benches);

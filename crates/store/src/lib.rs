@@ -45,6 +45,8 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod blob;
 pub mod orchestrator;
 pub mod sha256;

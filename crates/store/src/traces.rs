@@ -1233,6 +1233,10 @@ fn decode_slice_artifact(artifact: &SliceArtifact) -> Option<SlicedTrace> {
     })
 }
 
+// The `cbsp-trace` counters are process-global. Every test here that
+// runs instrumented store or trace-cache code holds
+// `cbsp_trace::test_lock()` for its whole body, so no test adds to the
+// counters another one asserts exact values of.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1345,10 +1349,10 @@ mod tests {
 
     #[test]
     fn memory_tier_records_once() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let cache = TraceCache::in_memory();
-        let _lock = cbsp_trace::test_lock();
         cbsp_trace::enable();
         cbsp_trace::reset();
         let t1 = cache.get_or_record(&bin, &input).expect("records");
@@ -1363,6 +1367,7 @@ mod tests {
 
     #[test]
     fn store_tier_serves_blob_hits_zero_decode() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (store, dir) = temp_store("persist");
@@ -1376,7 +1381,6 @@ mod tests {
 
         // A fresh cache (fresh process, conceptually) hits the store.
         let second = TraceCache::new(Some(&store));
-        let _lock = cbsp_trace::test_lock();
         cbsp_trace::enable();
         cbsp_trace::reset();
         let t2 = second.get_or_record(&bin, &input).expect("store hit");
@@ -1398,6 +1402,7 @@ mod tests {
 
     #[test]
     fn corrupt_stored_trace_blob_is_repaired() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (store, dir) = temp_store("repair");
@@ -1421,6 +1426,7 @@ mod tests {
 
     #[test]
     fn legacy_trace_envelope_reads_through_and_migrates() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (store, dir) = temp_store("legacy-trace");
@@ -1430,7 +1436,6 @@ mod tests {
         assert!(!store.contains_blob(&key), "no blob yet");
 
         let cache = TraceCache::new(Some(&store));
-        let _lock = cbsp_trace::test_lock();
         cbsp_trace::enable();
         cbsp_trace::reset();
         let t = cache.get_or_record(&bin, &input).expect("legacy hit");
@@ -1452,6 +1457,7 @@ mod tests {
 
     #[test]
     fn without_migration_leaves_the_envelope_in_place() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (store, dir) = temp_store("no-migrate");
@@ -1468,6 +1474,7 @@ mod tests {
 
     #[test]
     fn pool_fanout_records_each_binary_once() {
+        let _lock = cbsp_trace::test_lock();
         let prog = workloads::by_name("gzip")
             .expect("in suite")
             .build(Scale::Test);
@@ -1492,6 +1499,7 @@ mod tests {
 
     #[test]
     fn warm_slice_manifest_avoids_the_full_replay() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1499,7 +1507,6 @@ mod tests {
         let config = MemoryConfig::table1();
         let cache = TraceCache::in_memory();
 
-        let _lock = cbsp_trace::test_lock();
         cbsp_trace::enable();
         cbsp_trace::reset();
         let cold = cache
@@ -1533,6 +1540,7 @@ mod tests {
 
     #[test]
     fn slice_manifest_persists_as_blobs_and_prefetches() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1557,7 +1565,6 @@ mod tests {
         // A fresh cache (fresh process, conceptually) loads the stored
         // manifest without touching the full trace.
         let second = TraceCache::new(Some(&store));
-        let _lock = cbsp_trace::test_lock();
         cbsp_trace::enable();
         cbsp_trace::reset();
         let warm = second
@@ -1581,6 +1588,7 @@ mod tests {
 
     #[test]
     fn corrupt_slice_manifest_blob_is_repaired_as_a_miss() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1615,6 +1623,7 @@ mod tests {
 
     #[test]
     fn corrupt_per_slice_blob_is_repaired_as_a_miss() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1660,6 +1669,7 @@ mod tests {
 
     #[test]
     fn legacy_slice_envelope_reads_through_and_migrates() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1686,7 +1696,6 @@ mod tests {
         assert!(!store.contains_blob(&key));
 
         let cache = TraceCache::new(Some(&store));
-        let _lock = cbsp_trace::test_lock();
         cbsp_trace::enable();
         cbsp_trace::reset();
         let warm = cache
@@ -1714,6 +1723,7 @@ mod tests {
 
     #[test]
     fn migrate_store_rewrites_every_legacy_envelope() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1772,6 +1782,7 @@ mod tests {
     /// same per-interval simulations.
     #[test]
     fn sliced_estimate_is_identical_cold_warm_and_across_threads() {
+        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
