@@ -5,9 +5,8 @@
 
 use cbsp_core::CbspConfig;
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
-use cbsp_sim::record_trace;
 use cbsp_store::sha256::{compress_blocks, compress_blocks_portable, INITIAL_STATE};
-use cbsp_store::{put_trace_legacy, ArtifactStore, CachePolicy, Orchestrator, TraceCache};
+use cbsp_store::{ArtifactStore, CachePolicy, Orchestrator, TraceCache};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::path::PathBuf;
 
@@ -90,14 +89,11 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
     group.finish();
 }
 
-/// A/B comparison of the two on-disk trace formats: each iteration
-/// builds a fresh trace cache (empty memory tier) over a primed store
-/// and loads all four recorded binaries' traces — the cold-process
-/// read path. `blob_cold` reads the binary blob tier (header check,
-/// checksum pass, bytes adopted verbatim); `json_cold` reads legacy
-/// schema-2 envelopes (JSON parse plus base64 decode), with read-through
-/// migration disabled so every iteration pays the legacy cost.
-fn bench_blob_vs_json_cold(c: &mut Criterion) {
+/// The cold-process trace read path: each iteration builds a fresh
+/// trace cache (empty memory tier) over a primed store and loads all
+/// four recorded binaries' traces from the blob tier (header check,
+/// checksum pass, bytes adopted verbatim).
+fn bench_blob_cold(c: &mut Criterion) {
     let mut group = c.benchmark_group("store");
     group.sample_size(10);
     for name in ["gzip", "gcc"] {
@@ -111,21 +107,6 @@ fn bench_blob_vs_json_cold(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("blob_cold", name), &name, |b, _| {
             b.iter(|| {
                 let cache = TraceCache::new(Some(&store));
-                for bin in &binaries {
-                    black_box(cache.get_or_record(bin, &input).expect("store usable"));
-                }
-            })
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let (store, dir) = temp_store(&format!("json-cold-{name}"));
-        for bin in &binaries {
-            let trace = record_trace(bin, &input);
-            put_trace_legacy(&store, bin, &input, &trace).expect("store usable");
-        }
-        group.bench_with_input(BenchmarkId::new("json_cold", name), &name, |b, _| {
-            b.iter(|| {
-                let cache = TraceCache::new(Some(&store)).without_migration();
                 for bin in &binaries {
                     black_box(cache.get_or_record(bin, &input).expect("store usable"));
                 }
@@ -161,10 +142,5 @@ fn bench_sha256(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_cold_vs_warm,
-    bench_blob_vs_json_cold,
-    bench_sha256
-);
+criterion_group!(benches, bench_cold_vs_warm, bench_blob_cold, bench_sha256);
 criterion_main!(benches);

@@ -20,9 +20,9 @@
 //!   works just like `--benchmarks` subsets do;
 //! * when the current run evaluated the fuzzy-mapping lane
 //!   (`--fuzzy`), each benchmark is held to the absolute
-//!   [`MAPPED_FLOOR`](crate::fuzzy_lane::MAPPED_FLOOR) on its mapped
+//!   [`MAPPED_FLOOR`] on its mapped
 //!   fraction, and its CPI error is gated against the reference at
-//!   [`FUZZY_SLACK_MULTIPLIER`](crate::fuzzy_lane::FUZZY_SLACK_MULTIPLIER)×
+//!   [`FUZZY_SLACK_MULTIPLIER`]×
 //!   `slack` — similarity-matched windows are approximations, so the
 //!   lane gets a documented looser bound instead of silently sharing
 //!   the exact lanes' tolerance.

@@ -252,13 +252,9 @@ pub fn run_perf(
     let _ = std::fs::remove_dir_all(&store_dir);
 
     // The store-tier counters are part of the report schema even when
-    // zero (no legacy envelopes to migrate, prefetch gated serial), so
-    // downstream tooling can always read them.
-    for key in [
-        "store/blob_reads",
-        "store/legacy_migrations",
-        "store/prefetch_fanouts",
-    ] {
+    // zero (prefetch gated serial), so downstream tooling can always
+    // read them.
+    for key in ["store/blob_reads", "store/prefetch_fanouts"] {
         metrics.entry(key.to_string()).or_insert(0);
     }
 
@@ -582,10 +578,9 @@ mod tests {
             r.metrics.get("store/blob_reads")
         );
         assert!(
-            r.metrics.contains_key("store/legacy_migrations"),
+            r.metrics.contains_key("store/prefetch_fanouts"),
             "store counters are embedded even at zero"
         );
-        assert!(r.metrics.contains_key("store/prefetch_fanouts"));
         let text = render(&r);
         assert!(text.contains("simpoint"));
         assert!(text.contains("detailed_sim"));

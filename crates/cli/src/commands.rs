@@ -474,10 +474,10 @@ pub fn perbinary(opts: &Opts) -> Result<(), String> {
 /// pipeline stages come from the artifact store like `cbsp cross`; the
 /// CPI side reads the sliced trace manifest, so a warm run decodes
 /// kilobytes of slice payload instead of each binary's full recorded
-/// trace (DESIGN.md "Sliced traces"; set `CBSP_NO_TRACE_SLICES=1` to
-/// force full replays). The stratified lane additionally reports a
-/// confidence half-width per binary (zero for single-representative
-/// lanes by construction).
+/// trace (DESIGN.md "Sliced traces"; slice replay is exact, so the
+/// estimates equal a full in-context replay). The stratified lane
+/// additionally reports a confidence half-width per binary (zero for
+/// single-representative lanes by construction).
 pub fn estimate(opts: &Opts) -> Result<(), String> {
     let name = opts.positional(0, "benchmark name")?;
     let workload = workloads::by_name(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
@@ -568,21 +568,18 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `cbsp cache <stats|gc|migrate> [--cache-dir D]` — inspect,
-/// garbage-collect, or migrate the content-addressed artifact store.
+/// `cbsp cache <stats|gc> [--cache-dir D]` — inspect or
+/// garbage-collect the content-addressed artifact store.
 ///
 /// The store holds three kinds of objects: pipeline stage artifacts
 /// (referenced by run manifests), recorded event traces under the
 /// `trace` namespace, and sliced-trace manifests under `trace_slice` —
 /// the latter two unreferenced by any run manifest. `stats` reports
-/// them separately, including per-format (JSON envelope vs binary
-/// blob) populations; `gc` keeps manifest-referenced artifacts and
+/// them separately; `gc` keeps manifest-referenced artifacts and
 /// evicts traces and slices — they re-record / re-slice transparently
-/// on next use; `migrate` rewrites legacy JSON trace envelopes as
-/// binary blobs in bulk (new traces are written as blobs already, and
-/// legacy ones also migrate on read).
+/// on next use.
 pub fn cache(opts: &Opts) -> Result<(), String> {
-    let action = opts.positional(0, "cache action (stats|gc|migrate)")?;
+    let action = opts.positional(0, "cache action (stats|gc)")?;
     let store = ArtifactStore::open(opts.cache_dir()).map_err(|e| e.to_string())?;
     match action {
         "stats" => {
@@ -617,17 +614,6 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
                 "  sliced traces:   {} artifacts, {} bytes (evicted by gc, re-sliced on use)",
                 slices.artifacts, slices.bytes
             );
-            // Format breakdown: pipeline stages are JSON envelopes,
-            // trace/slice payloads are binary blobs; `cache migrate`
-            // rewrites any legacy JSON trace artifacts as blobs.
-            println!("  by format:");
-            for format in ["json", "blob"] {
-                let s = stats.per_format.get(format).cloned().unwrap_or_default();
-                println!(
-                    "    {format:<6} {} artifacts, {} bytes",
-                    s.artifacts, s.bytes
-                );
-            }
             for (stage, s) in &stats.per_stage {
                 println!("  {stage:<10} {} artifacts, {} bytes", s.artifacts, s.bytes);
             }
@@ -683,24 +669,7 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
             );
             Ok(())
         }
-        "migrate" => {
-            let report = cbsp_store::migrate_store(&store).map_err(|e| e.to_string())?;
-            println!(
-                "migrate {}: {} traces and {} slice manifests rewritten as blobs, {} skipped",
-                opts.cache_dir(),
-                report.traces,
-                report.slice_manifests,
-                report.skipped
-            );
-            if report.skipped > 0 {
-                println!(
-                    "note: skipped envelopes failed to decode; they repair on next use \
-                     or fall to gc"
-                );
-            }
-            Ok(())
-        }
-        other => Err(format!("unknown cache action {other} (stats|gc|migrate)")),
+        other => Err(format!("unknown cache action {other} (stats|gc)")),
     }
 }
 

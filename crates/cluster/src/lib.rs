@@ -14,7 +14,7 @@
 //! its map-stage content digest — the same digest the daemon's own
 //! single-flight deduplication and result cache key on. The router
 //! places that digest with rendezvous hashing over the
-//! [`ShardMap`](shard_map::ShardMap), so all requests about one
+//! [`ShardMap`], so all requests about one
 //! `(benchmark, scale, interval)` triple land on the same shard and
 //! each shard's request stream is indistinguishable from a
 //! single-process run. Responses are relayed byte-for-byte; the

@@ -7,7 +7,7 @@
 //! 2. find the mappable points that exist in every binary
 //!    ([`find_mappable_points`], plus inline recovery);
 //! 3. cut the *primary* binary's execution into variable-length
-//!    intervals bounded by mappable points ([`build_vli`]);
+//!    intervals bounded by mappable points ([`build_vli`](crate::build_vli));
 //! 4. run SimPoint on the primary binary's interval BBVs
 //!    ([`cbsp_simpoint::analyze`]);
 //! 5. map the chosen simulation points to every binary — free, because

@@ -380,19 +380,6 @@ impl Engine {
             ("traces", sub(&traces)),
             ("trace_slices", sub(&slices)),
             (
-                "formats",
-                obj(vec![
-                    (
-                        "json",
-                        sub(&stats.per_format.get("json").cloned().unwrap_or_default()),
-                    ),
-                    (
-                        "blob",
-                        sub(&stats.per_format.get("blob").cloned().unwrap_or_default()),
-                    ),
-                ]),
-            ),
-            (
                 "per_stage",
                 Value::Object(
                     stats

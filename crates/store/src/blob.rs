@@ -5,11 +5,11 @@
 //! pipeline-stage artifacts — small, structured, human-inspectable —
 //! but a recorded [`EventTrace`](cbsp_sim::EventTrace) is megabytes of
 //! varint event bytes, and round-tripping it through base64-in-JSON
-//! pays ~33% size inflation plus a parse, a decode, and a copy on
+//! would pay ~33% size inflation plus a parse, a decode, and a copy on
 //! every read. The blob tier stores such payloads as raw binary files
 //! with a small fixed header, keyed by the *same* content digests as
 //! the envelope tier, so cache-key derivation, gc roots, and the
-//! repair-as-miss contract are unchanged — only the bytes on disk are.
+//! repair-as-miss contract are shared — only the bytes on disk differ.
 //!
 //! ## On-disk layout
 //!
@@ -55,7 +55,7 @@ use std::io::Read;
 use std::path::PathBuf;
 
 use crate::sha256::{to_hex, Sha256};
-use crate::store::{ArtifactStore, StageKey};
+use crate::store::{write_then_rename, ArtifactStore, StageKey};
 
 /// First four bytes of every blob file.
 pub const BLOB_MAGIC: [u8; 4] = *b"CBSB";
@@ -201,20 +201,14 @@ impl ArtifactStore {
     ) -> Result<(), CbspError> {
         let _span = cbsp_trace::span_labeled("store/put_blob", || stage.to_string());
         let header = encode_header(stage, key, meta, payload);
-        let path = self.blob_path(key);
-        let dir = path.parent().expect("blob path has a parent");
-        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        let tmp = path.with_extension(crate::store::tmp_suffix());
-        let write = |tmp: &std::path::Path| -> std::io::Result<()> {
+        write_then_rename(&self.blob_path(key), |tmp| {
             use std::io::Write;
             let mut f = std::io::BufWriter::new(std::fs::File::create(tmp)?);
             f.write_all(&header)?;
             f.write_all(meta)?;
             f.write_all(payload)?;
             f.flush()
-        };
-        write(&tmp).map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+        })?;
         cbsp_trace::add(
             "store/blob_bytes_written",
             (BLOB_HEADER_LEN + meta.len() + payload.len()) as u64,
@@ -311,22 +305,6 @@ impl ArtifactStore {
             (BLOB_HEADER_LEN + meta_len + payload_len) as u64,
         );
         Ok(Some(Blob { meta, payload }))
-    }
-
-    /// Removes the *envelope* file for `key` if one exists — the
-    /// cleanup half of a legacy-to-blob migration. Removing a file
-    /// that is already gone is not an error (a racing migrator won).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CbspError::StoreIo`] on any other filesystem failure.
-    pub fn remove_envelope(&self, key: &StageKey) -> Result<(), CbspError> {
-        let path = self.object_path(key);
-        match std::fs::remove_file(&path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(io_err(&path, e)),
-        }
     }
 }
 
@@ -461,6 +439,35 @@ mod tests {
         std::fs::write(&path, &flipped).expect("flips");
         let err = store.get_blob("trace", &key).expect_err("checksum");
         assert!(matches!(err, CbspError::ArtifactCorrupt { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_writes_leave_no_tmp_files() {
+        let _lock = cbsp_trace::test_lock();
+        let (store, dir) = temp_store("tmp-cleanup");
+        let key = a_key(6);
+        // A non-empty directory squatting on each target path makes the
+        // final rename fail after the tmp file has been written.
+        for target in [store.object_path(&key), store.blob_path(&key)] {
+            std::fs::create_dir_all(target.join("occupied")).expect("squats");
+        }
+        let err = store
+            .put_overwrite("trace", &key, &Value::UInt(7))
+            .expect_err("envelope rename fails");
+        assert!(matches!(err, CbspError::StoreIo { .. }), "{err}");
+        let err = store
+            .put_blob_overwrite("trace", &key, &[1, 2], b"payload")
+            .expect_err("blob rename fails");
+        assert!(matches!(err, CbspError::StoreIo { .. }), "{err}");
+
+        let shard = store.blob_path(&key).parent().expect("shard").to_path_buf();
+        let leftovers: Vec<_> = std::fs::read_dir(&shard)
+            .expect("shard lists")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "tmp files left behind: {leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -68,9 +68,9 @@ impl StageKey {
     }
 
     /// Re-admits a 64-hex-digit digest as a key. Keys are normally
-    /// *derived* ([`stage_key`]), but migration and blob sub-keys need
-    /// to reconstruct one from an existing on-disk digest. Returns
-    /// `None` unless `hex` is exactly 64 lowercase-hex digits.
+    /// *derived* ([`stage_key`]), but blob sub-keys
+    /// ([`derived_key`](crate::derived_key)) are built from a digest.
+    /// Returns `None` unless `hex` is exactly 64 lowercase-hex digits.
     pub fn parse(hex: &str) -> Option<StageKey> {
         let valid = hex.len() == 64
             && hex
@@ -139,10 +139,6 @@ pub struct StoreStats {
     pub manifests: u64,
     /// Per-stage breakdown, keyed by stage name.
     pub per_stage: BTreeMap<String, StageStats>,
-    /// Per-format breakdown (`json` envelopes vs `blob` files), so
-    /// `cache stats` reports both tiers and gc reports don't silently
-    /// miss one.
-    pub per_format: BTreeMap<String, StageStats>,
 }
 
 /// Result of a [`ArtifactStore::gc`] sweep.
@@ -194,13 +190,35 @@ pub struct ArtifactStore {
 /// A tmp-file suffix unique per process *and* per in-process writer, so
 /// concurrent writers of the same key never rename each other's file
 /// out from under themselves.
-pub(crate) fn tmp_suffix() -> String {
+fn tmp_suffix() -> String {
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     format!(
         "tmp.{}.{}",
         std::process::id(),
         SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     )
+}
+
+/// Writes `path` through a uniquely named sibling tmp file and a
+/// rename, so readers never observe a torn file and concurrent writers
+/// of the same key settle on identical content. If the write or the
+/// rename fails, the tmp file is removed (best effort) and the original
+/// error is returned — `walk_objects` skips tmp files, so a leftover
+/// would be invisible to `gc` and `cache stats` forever.
+pub(crate) fn write_then_rename(
+    path: &Path,
+    write: impl FnOnce(&Path) -> std::io::Result<()>,
+) -> Result<(), CbspError> {
+    let dir = path.parent().expect("store paths have a parent");
+    std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+    let tmp = path.with_extension(tmp_suffix());
+    let result = write(&tmp)
+        .map_err(|e| io_err(&tmp, e))
+        .and_then(|()| std::fs::rename(&tmp, path).map_err(|e| io_err(path, e)));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 fn io_err(path: &Path, e: impl fmt::Display) -> CbspError {
@@ -316,15 +334,7 @@ impl ArtifactStore {
             ("payload".to_string(), payload),
         ]);
         let text = serde_json::to_string(&envelope).expect("serialization cannot fail");
-        let path = self.object_path(key);
-        let dir = path.parent().expect("object path has a parent");
-        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        // Write-then-rename so readers never observe a torn file, and
-        // concurrent writers of the same key settle on identical
-        // content.
-        let tmp = path.with_extension(tmp_suffix());
-        std::fs::write(&tmp, &text).map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+        write_then_rename(&self.object_path(key), |tmp| std::fs::write(tmp, &text))?;
         cbsp_trace::add("store/bytes_written", text.len() as u64);
         Ok(())
     }
@@ -420,9 +430,7 @@ impl ArtifactStore {
             .join("manifests")
             .join(format!("{}.json", manifest.run_key));
         let text = serde_json::to_string_pretty(manifest).expect("serialization cannot fail");
-        let tmp = path.with_extension(tmp_suffix());
-        std::fs::write(&tmp, &text).map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+        write_then_rename(&path, |tmp| std::fs::write(tmp, &text))?;
         Ok(path)
     }
 
@@ -456,7 +464,7 @@ impl ArtifactStore {
 
     fn walk_objects(
         &self,
-        mut visit: impl FnMut(&Path, u64, Option<&str>, &str),
+        mut visit: impl FnMut(&Path, u64, Option<&str>),
     ) -> Result<(), CbspError> {
         let objects = self.root.join("objects");
         for shard in std::fs::read_dir(&objects).map_err(|e| io_err(&objects, e))? {
@@ -466,16 +474,16 @@ impl ArtifactStore {
             }
             for entry in std::fs::read_dir(&shard).map_err(|e| io_err(&shard, e))? {
                 let path = entry.map_err(|e| io_err(&shard, e))?.path();
-                let format = match path.extension().and_then(|e| e.to_str()) {
-                    Some("json") => "json",
-                    Some("blob") => "blob",
+                let is_blob = match path.extension().and_then(|e| e.to_str()) {
+                    Some("json") => false,
+                    Some("blob") => true,
                     _ => continue,
                 };
                 let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
                 // Best-effort stage attribution for stats; a file that
                 // doesn't parse still counts toward totals. Blob stage
                 // names sit in the fixed header — no JSON parse needed.
-                let stage = if format == "blob" {
+                let stage = if is_blob {
                     read_blob_stage(&path)
                 } else {
                     std::fs::read_to_string(&path)
@@ -493,37 +501,10 @@ impl ArtifactStore {
                             })
                         })
                 };
-                visit(&path, bytes, stage.as_deref(), format);
+                visit(&path, bytes, stage.as_deref());
             }
         }
         Ok(())
-    }
-
-    /// Enumerates `(stage, key)` for every artifact stored in `format`
-    /// (`"json"` or `"blob"`) — the worklist a migration sweeps over.
-    /// Files whose stage cannot be attributed or whose name is not a
-    /// valid key are skipped (they cannot be migrated mechanically and
-    /// will be repaired on use instead).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CbspError::StoreIo`] if the store cannot be listed.
-    pub fn keys_in_format(&self, format: &str) -> Result<Vec<(String, StageKey)>, CbspError> {
-        let mut out = Vec::new();
-        self.walk_objects(|path, _, stage, fmt| {
-            if fmt != format {
-                return;
-            }
-            let key = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(StageKey::parse);
-            if let (Some(stage), Some(key)) = (stage, key) {
-                out.push((stage.to_string(), key));
-            }
-        })?;
-        out.sort();
-        Ok(out)
     }
 
     /// Disk-usage statistics for `cache stats`.
@@ -533,7 +514,7 @@ impl ArtifactStore {
     /// Returns [`CbspError::StoreIo`] if the store cannot be listed.
     pub fn stats(&self) -> Result<StoreStats, CbspError> {
         let mut stats = StoreStats::default();
-        self.walk_objects(|_, bytes, stage, format| {
+        self.walk_objects(|_, bytes, stage| {
             stats.artifacts += 1;
             stats.bytes += bytes;
             let entry = stats
@@ -542,9 +523,6 @@ impl ArtifactStore {
                 .or_default();
             entry.artifacts += 1;
             entry.bytes += bytes;
-            let fmt = stats.per_format.entry(format.to_string()).or_default();
-            fmt.artifacts += 1;
-            fmt.bytes += bytes;
         })?;
         stats.manifests = self.manifests()?.len() as u64;
         Ok(stats)
@@ -564,7 +542,7 @@ impl ArtifactStore {
         }
         let mut report = GcReport::default();
         let mut doomed: Vec<PathBuf> = Vec::new();
-        self.walk_objects(|path, bytes, _, _| {
+        self.walk_objects(|path, bytes, _| {
             let key = path
                 .file_stem()
                 .and_then(|s| s.to_str())

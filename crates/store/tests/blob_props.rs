@@ -6,16 +6,13 @@
 //!    blob file is detected on read and reported as a typed
 //!    [`CbspError`] (`ArtifactCorrupt` / `ArtifactVersionMismatch`),
 //!    never a panic and never silently wrong bytes.
-//! 3. Migration fidelity — a legacy JSON trace envelope read through
-//!    the cache yields the same trace as the blob it is rewritten to.
-//! 4. Prefetch determinism — slice prefetch fan-out returns the same
+//! 3. Prefetch determinism — slice prefetch fan-out returns the same
 //!    bytes at 1 thread and at 8.
 
 use cbsp_core::CbspError;
 use cbsp_par::Pool;
 use cbsp_program::{compile, workloads, CompileTarget, Input, Scale};
-use cbsp_sim::record_trace;
-use cbsp_store::{put_trace_legacy, stage_key, ArtifactStore, StageKey, TraceCache};
+use cbsp_store::{stage_key, ArtifactStore, StageKey, TraceCache};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use serde::Value;
@@ -131,34 +128,6 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-/// A legacy JSON envelope read through the cache serves the identical
-/// trace, and the blob it is migrated to serves identical bytes again
-/// on the next cold read.
-#[test]
-fn legacy_envelope_migrates_to_an_identical_blob() {
-    let prog = workloads::by_name("gzip")
-        .expect("in suite")
-        .build(Scale::Test);
-    let bin = compile(&prog, CompileTarget::W32_O2);
-    let input = Input::test();
-    let recorded = record_trace(&bin, &input);
-    let (store, dir) = temp_store("migrate");
-    put_trace_legacy(&store, &bin, &input, &recorded).expect("legacy envelope writes");
-
-    let cache = TraceCache::new(Some(&store));
-    let via_legacy = cache.get_or_record(&bin, &input).expect("legacy hit");
-    assert_eq!(
-        *via_legacy, recorded,
-        "legacy read-through serves the recording"
-    );
-
-    // The read migrated the envelope; a fresh cache now reads the blob.
-    let fresh = TraceCache::new(Some(&store));
-    let via_blob = fresh.get_or_record(&bin, &input).expect("blob hit");
-    assert_eq!(*via_blob, recorded, "migrated blob serves identical bytes");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Slice prefetch fan-out is byte-deterministic: a cache prefetching

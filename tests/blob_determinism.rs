@@ -1,16 +1,16 @@
-//! On-disk-format and thread-count determinism of the sliced-trace
-//! estimate path: the same CPI estimate must come back bit-identical
-//! whether the store serves binary blobs or legacy JSON envelopes, and
-//! whether slice prefetch fans out over 1 thread or 8 — the blob tier
-//! is a faster encoding of the same artifacts, never a different
-//! answer.
+//! Exactness and thread-count determinism of the sliced-trace estimate
+//! path: the CPI estimate served from stored slice blobs must come back
+//! bit-identical whether slice prefetch fans out over 1 thread or 8,
+//! and bit-identical to a full in-context replay of the recorded trace
+//! — slicing changes the bytes read, never the answer.
 
 use cbsp_par::Pool;
-use cbsp_store::{put_slices_legacy, put_trace_legacy, ArtifactStore, CpiEstimate, TraceCache};
+use cbsp_store::{ArtifactStore, CpiEstimate, TraceCache};
+use cross_binary_simpoints::core::weighted_cpi;
 use cross_binary_simpoints::prelude::*;
 use cross_binary_simpoints::profile::{ExecPoint, MarkerRef};
 use cross_binary_simpoints::program::{BlockId, Marker};
-use cross_binary_simpoints::sim::{record_trace, slice_trace, MemoryConfig};
+use cross_binary_simpoints::sim::{record_trace, replay_marker_sliced, IntervalSim, MemoryConfig};
 use cross_binary_simpoints::simpoint::SimPoint;
 use std::path::PathBuf;
 
@@ -101,9 +101,8 @@ fn assert_bit_identical(reference: &CpiEstimate, other: &CpiEstimate, label: &st
     assert_eq!(reference, other, "{label}: estimate differs");
 }
 
-/// The sliced CPI estimate is bit-identical across
-/// {legacy JSON, blob} × {1, 8 prefetch threads} for every binary of a
-/// workload.
+/// The store-warm sliced CPI estimate is bit-identical to the cold one
+/// at 1 and 8 prefetch threads, for two binaries of a workload.
 #[test]
 fn estimates_are_identical_across_formats_and_thread_counts() {
     let prog = workloads::by_name("gzip")
@@ -115,91 +114,81 @@ fn estimates_are_identical_across_formats_and_thread_counts() {
     for &target in &[CompileTarget::W32_O2, CompileTarget::W64_O0] {
         let bin = compile(&prog, target);
         let (boundaries, points) = boundaries_and_points(&bin, &input);
-        let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
         let n = boundaries.len() + 1;
         let label = bin.label();
 
-        // Blob-format store: a cold estimate materializes the blobs.
-        let (blob_store, blob_dir) = temp_store(&format!("blob-{target:?}"));
-        let reference = TraceCache::new(Some(&blob_store))
+        // A cold estimate materializes the blobs.
+        let (store, dir) = temp_store(&format!("blob-{target:?}"));
+        let reference = TraceCache::new(Some(&store))
             .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
             .expect("cold blob estimate");
 
-        // Legacy-format store: the same artifacts as JSON envelopes.
-        let (json_store, json_dir) = temp_store(&format!("json-{target:?}"));
-        let trace = record_trace(&bin, &input);
-        let sliced = slice_trace(&trace, &config, &boundaries, &selected).expect("slices");
-        put_trace_legacy(&json_store, &bin, &input, &trace).expect("legacy trace writes");
-        put_slices_legacy(
-            &json_store,
-            &bin,
-            &input,
-            &config,
-            &boundaries,
-            &selected,
-            &sliced,
-        )
-        .expect("legacy slices write");
-
         for threads in [1usize, 8] {
-            let pool = Pool::new(threads);
-            for (format, store) in [("blob", &blob_store), ("legacy", &json_store)] {
-                let cache = TraceCache::new(Some(store))
-                    .without_migration()
-                    .with_prefetch(pool);
-                let estimate = cache
-                    .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
-                    .expect("store-warm estimate");
-                assert_bit_identical(
-                    &reference,
-                    &estimate,
-                    &format!("{label} / {format} / {threads} threads"),
-                );
-            }
+            let cache = TraceCache::new(Some(&store)).with_prefetch(Pool::new(threads));
+            let estimate = cache
+                .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
+                .expect("store-warm estimate");
+            assert_bit_identical(
+                &reference,
+                &estimate,
+                &format!("{label} / blob / {threads} threads"),
+            );
         }
-        let _ = std::fs::remove_dir_all(&blob_dir);
-        let _ = std::fs::remove_dir_all(&json_dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
-/// Read-through migration does not change the answer: estimating from
-/// a legacy store with migration enabled rewrites the artifacts as
-/// blobs, and the post-migration store still serves the identical
-/// estimate.
+/// The sliced estimate equals the full in-context estimate bit for bit:
+/// true CPI, instruction count, every selected interval's CPI and the
+/// weighted estimate all match a single `replay_marker_sliced` pass
+/// over the recorded trace, for two workloads × two compile targets.
 #[test]
-fn migration_preserves_the_estimate() {
-    let prog = workloads::by_name("swim")
-        .expect("in suite")
-        .build(Scale::Test);
-    let bin = compile(&prog, CompileTarget::W32_O2);
+fn sliced_estimates_equal_full_in_context_replay() {
     let input = Input::test();
     let config = MemoryConfig::table1();
-    let (boundaries, points) = boundaries_and_points(&bin, &input);
-    let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
-    let n = boundaries.len() + 1;
+    for name in ["gzip", "swim"] {
+        let prog = workloads::by_name(name)
+            .expect("in suite")
+            .build(Scale::Test);
+        for &target in &[CompileTarget::W32_O2, CompileTarget::W64_O0] {
+            let bin = compile(&prog, target);
+            let (boundaries, points) = boundaries_and_points(&bin, &input);
+            let n = boundaries.len() + 1;
+            let label = bin.label();
 
-    let (store, dir) = temp_store("migrate");
-    let trace = record_trace(&bin, &input);
-    let sliced = slice_trace(&trace, &config, &boundaries, &selected).expect("slices");
-    put_trace_legacy(&store, &bin, &input, &trace).expect("legacy trace writes");
-    put_slices_legacy(
-        &store,
-        &bin,
-        &input,
-        &config,
-        &boundaries,
-        &selected,
-        &sliced,
-    )
-    .expect("legacy slices write");
+            let (full, mut intervals) =
+                replay_marker_sliced(&record_trace(&bin, &input), &config, &boundaries)
+                    .expect("fresh trace decodes");
+            intervals.resize(n.max(intervals.len()), IntervalSim::default());
+            let full_cpis: Vec<f64> = intervals.iter().map(IntervalSim::cpi).collect();
 
-    // First read migrates in place (the default), second reads blobs.
-    let migrating = TraceCache::new(Some(&store))
-        .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
-        .expect("migrating estimate");
-    let post = TraceCache::new(Some(&store))
-        .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
-        .expect("post-migration estimate");
-    assert_bit_identical(&migrating, &post, "legacy vs migrated store");
-    let _ = std::fs::remove_dir_all(&dir);
+            let (store, dir) = temp_store(&format!("exact-{name}-{target:?}"));
+            for temperature in ["cold", "warm"] {
+                let sliced = TraceCache::new(Some(&store))
+                    .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
+                    .expect("sliced estimate");
+                let what = format!("{label} / {temperature}");
+                assert_eq!(
+                    sliced.true_cpi.to_bits(),
+                    full.cpi().to_bits(),
+                    "{what}: true CPI"
+                );
+                assert_eq!(sliced.instructions, full.instructions, "{what}");
+                assert_eq!(
+                    sliced.estimated_cpi.to_bits(),
+                    weighted_cpi(&points, &full_cpis).to_bits(),
+                    "{what}: estimated CPI"
+                );
+                for p in &points {
+                    assert_eq!(
+                        sliced.interval_cpis[p.interval].to_bits(),
+                        full_cpis[p.interval].to_bits(),
+                        "{what}: interval {} CPI",
+                        p.interval
+                    );
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
