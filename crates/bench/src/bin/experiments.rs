@@ -360,7 +360,9 @@ fn main() {
                     // configuration so the comparison is apples-to-apples.
                     eprintln!(
                         "perf compare: measuring {} at {} scale, 1 vs {} threads...",
-                        baseline.benchmark, baseline.scale, baseline.threads
+                        baseline.benchmark,
+                        baseline.scale,
+                        cbsp_bench::perf::parallel_threads(baseline.threads)
                     );
                     cbsp_bench::run_perf(
                         &baseline.benchmark,
@@ -395,7 +397,8 @@ fn main() {
                 .to_string();
             eprintln!(
                 "perf baseline on {name} at {:?} scale, 1 vs {} threads...",
-                opts.scale, opts.threads
+                opts.scale,
+                cbsp_bench::perf::parallel_threads(opts.threads)
             );
             let r = cbsp_bench::run_perf(&name, opts.scale, opts.interval, opts.threads, &mem);
             print!("{}", cbsp_bench::perf::render(&r));

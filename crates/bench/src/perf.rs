@@ -7,24 +7,24 @@
 //! CPI estimation — once serially and once on a pool, timing each
 //! stage, and checks that the two runs produce identical results (the
 //! engine's determinism guarantee, measured rather than assumed). The
+//! five pipeline stages are timed by a hook on `cbsp_core::run_stages`,
+//! the runner every caller uses. The
 //! `estimate` stage doubles as the sliced-trace cold/warm lane: the
 //! serial run materializes each binary's slice manifest, the parallel
 //! run answers from cached slices alone.
 
-use cbsp_core::{
-    map_stage, mappable_stage, profile_stage_all, simpoint_stage, vli_stage, CbspConfig,
-    MappableStage, MappedSlicing,
-};
-use cbsp_par::Pool;
+use cbsp_core::{run_stages, CbspConfig, CbspError, CrossBinaryResult, Stage, StageHook};
+use cbsp_par::{available_threads, Pool};
 use cbsp_program::{
     compile, compile_cost_estimate_ns, workloads, Binary, CompileTarget, Input, Scale,
 };
 use cbsp_sim::{replay_marker_sliced, MemoryConfig};
-use cbsp_simpoint::{SimPointConfig, SimPointResult};
+use cbsp_simpoint::SimPointConfig;
 use cbsp_store::{ArtifactStore, CpiEstimate, TraceCache};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Wall time of one pipeline stage at both thread counts.
@@ -49,7 +49,8 @@ pub struct PerfReport {
     pub scale: String,
     /// Interval-size target in instructions.
     pub interval_target: u64,
-    /// Threads in the parallel configuration.
+    /// Threads the parallel pass used (the requested count, capped at
+    /// the machine's available parallelism, at least 2).
     pub threads: usize,
     /// Per-stage times, in pipeline order.
     pub stages: Vec<StageTime>,
@@ -60,7 +61,7 @@ pub struct PerfReport {
     /// End-to-end speedup.
     pub total_speedup: f64,
     /// `true` — the serial and parallel runs produced identical
-    /// clusterings and weights (checked, not assumed).
+    /// pipeline results and estimates (checked, not assumed).
     pub results_identical: bool,
     /// Counter snapshot from the parallel run (`cbsp-trace`): pool
     /// queue-wait/exec nanoseconds, k-means iterations, Hamerly bound
@@ -78,13 +79,27 @@ pub struct PerfReport {
 
 struct MeasuredRun {
     times: Vec<(&'static str, f64)>,
-    simpoint: SimPointResult,
-    weights: Vec<Vec<f64>>,
+    cross: CrossBinaryResult,
     estimates: Vec<CpiEstimate>,
 }
 
 fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
+}
+
+/// A [`StageHook`] that timestamps every stage boundary, so the five
+/// pipeline stages are timed inside the runner every caller runs.
+#[derive(Default)]
+struct StageClock(Mutex<Vec<Instant>>);
+
+impl StageHook for StageClock {
+    fn boundary(&self, _next: Option<Stage>) -> Result<(), CbspError> {
+        self.0
+            .lock()
+            .expect("stage clock lock")
+            .push(Instant::now());
+        Ok(())
+    }
 }
 
 fn measure(
@@ -97,11 +112,7 @@ fn measure(
 ) -> MeasuredRun {
     let workload = workloads::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let prog = workload.build(scale);
-    let input = match scale {
-        Scale::Test => Input::test(),
-        Scale::Train => Input::train(),
-        Scale::Reference => Input::reference(),
-    };
+    let input = Input::for_scale(scale);
     let pool = Pool::new(threads);
     let config = CbspConfig {
         interval_target,
@@ -125,45 +136,25 @@ fn measure(
     times.push(("compile", ms(t)));
     let bin_refs: Vec<&Binary> = binaries.iter().collect();
 
-    let t = Instant::now();
-    let profiles = profile_stage_all(&bin_refs, &input, &pool);
-    times.push(("profile", ms(t)));
-
-    let t = Instant::now();
-    let MappableStage { set: mappable, .. } = mappable_stage(&bin_refs, &profiles);
-    times.push(("mappable", ms(t)));
-
-    let t = Instant::now();
-    let vli = vli_stage(&bin_refs, &input, &config, &mappable, &profiles);
-    times.push(("vli", ms(t)));
-
-    let t = Instant::now();
-    let simpoint = simpoint_stage(&vli, &config.simpoint, &config.estimator);
-    times.push(("simpoint", ms(t)));
-
-    let t = Instant::now();
-    let MappedSlicing {
-        boundaries,
-        weights,
-        ..
-    } = map_stage(
-        &bin_refs,
-        &input,
-        config.primary,
-        &mappable,
-        &vli,
-        &simpoint,
-        &pool,
-    )
-    .expect("same-program binaries map cleanly");
-    times.push(("map", ms(t)));
+    let clock = StageClock::default();
+    let cross =
+        run_stages(&bin_refs, &input, &config, &clock).expect("same-program binaries map cleanly");
+    let marks = clock.0.into_inner().expect("stage clock lock");
+    let stage_ms = |w: &[Instant]| (w[1] - w[0]).as_secs_f64() * 1e3;
+    times.extend(
+        Stage::ALL
+            .map(Stage::name)
+            .into_iter()
+            .zip(marks.windows(2).map(stage_ms)),
+    );
 
     let t = Instant::now();
     let event_traces = traces
         .get_or_record_all(&bin_refs, &input, &pool)
         .expect("trace cache records and serves the event traces");
     let sims = pool.run_indexed(binaries.len(), |b| {
-        replay_marker_sliced(&event_traces[b], mem, &boundaries[b]).expect("recorded trace decodes")
+        replay_marker_sliced(&event_traces[b], mem, &cross.boundaries[b])
+            .expect("recorded trace decodes")
     });
     times.push(("detailed_sim", ms(t)));
     drop(sims);
@@ -176,32 +167,30 @@ fn measure(
     let t = Instant::now();
     let estimates = {
         let _span = cbsp_trace::span_labeled("stage/estimate", || name.to_string());
-        pool.run_indexed(binaries.len(), |b| {
-            traces
-                .estimate_cpi_sliced(
-                    &binaries[b],
-                    &input,
-                    mem,
-                    &boundaries[b],
-                    &simpoint.points,
-                    Some(&weights[b]),
-                    boundaries[b].len() + 1,
-                )
-                .expect("trace cache serves the sliced estimate")
-        })
+        traces
+            .estimate_cross_binary(&bin_refs, &input, mem, &cross, &pool)
+            .expect("trace cache serves the sliced estimate")
     };
     times.push(("estimate", ms(t)));
 
     MeasuredRun {
         times,
-        simpoint,
-        weights,
+        cross,
         estimates,
     }
 }
 
-/// Measures the pipeline at 1 thread and at `threads`, returning the
-/// per-stage comparison.
+/// Threads the parallel pass of [`run_perf`] uses when `threads` are
+/// requested: never more than the machine offers
+/// ([`available_threads`]), but at least 2, so the parallel pass still
+/// differs from the serial one.
+pub fn parallel_threads(threads: usize) -> usize {
+    threads.min(available_threads()).max(2)
+}
+
+/// Measures the pipeline at 1 thread and at
+/// [`parallel_threads`]`(threads)`, returning the per-stage comparison;
+/// the report records the thread count actually used.
 ///
 /// # Panics
 ///
@@ -213,7 +202,7 @@ pub fn run_perf(
     threads: usize,
     mem: &MemoryConfig,
 ) -> PerfReport {
-    let threads = threads.max(2);
+    let threads = parallel_threads(threads);
     // One on-disk artifact store spans both runs, but each run gets its
     // own trace cache (empty memory tier): the serial run pays the
     // interpret+record cost once and persists blob-tier traces and
@@ -284,9 +273,7 @@ pub fn run_perf(
         } else {
             1.0
         },
-        results_identical: serial.simpoint == parallel.simpoint
-            && serial.weights == parallel.weights
-            && serial.estimates == parallel.estimates,
+        results_identical: serial.cross == parallel.cross && serial.estimates == parallel.estimates,
         metrics,
         serve: None,
         cluster: None,
@@ -534,6 +521,7 @@ mod tests {
     fn perf_report_is_complete_and_identical() {
         let _guard = cbsp_trace::test_lock();
         let r = run_perf("gzip", Scale::Test, 20_000, 4, &MemoryConfig::table1());
+        assert_eq!(r.threads, parallel_threads(4), "records the count used");
         assert_eq!(r.stages.len(), 8);
         assert!(r.total_serial_ms > 0.0);
         assert!(r.total_parallel_ms > 0.0);
@@ -595,6 +583,15 @@ mod tests {
         assert_eq!(back, r);
     }
 
+    #[test]
+    fn parallel_pass_never_oversubscribes() {
+        let cap = available_threads().max(2);
+        assert_eq!(parallel_threads(usize::MAX), cap);
+        assert_eq!(parallel_threads(8), 8.min(cap));
+        assert_eq!(parallel_threads(1), 2, "parallel pass keeps 2 threads");
+        assert_eq!(parallel_threads(0), 2);
+    }
+
     fn toy_report(parallel_ms: &[(&str, f64)], identical: bool) -> PerfReport {
         let stages: Vec<StageTime> = parallel_ms
             .iter()
@@ -634,14 +631,18 @@ mod tests {
     #[test]
     fn compare_fails_on_regression_beyond_tolerance() {
         let base = toy_report(&[("compile", 10.0), ("simpoint", 100.0)], true);
-        let cur = toy_report(&[("compile", 10.0), ("simpoint", 140.0)], true);
-        let c = compare(&base, &cur, 0.25);
-        assert!(c.regressed());
-        let text = render_compare(&c);
-        assert!(text.contains("REGRESSED"), "{text}");
-        assert!(text.contains("FAIL"), "{text}");
-        // The 40% simpoint regression also drags the total past 25%.
-        assert!(c.rows.iter().any(|r| r.stage == "total" && r.regressed));
+        // A 40% slowdown, and a synthetic 30% one just past the 25%
+        // tolerance.
+        for simpoint_ms in [140.0, 130.0] {
+            let cur = toy_report(&[("compile", 10.0), ("simpoint", simpoint_ms)], true);
+            let c = compare(&base, &cur, 0.25);
+            assert!(c.regressed(), "{simpoint_ms} ms");
+            let text = render_compare(&c);
+            assert!(text.contains("REGRESSED"), "{text}");
+            assert!(text.contains("FAIL"), "{text}");
+            // The simpoint regression also drags the total past 25%.
+            assert!(c.rows.iter().any(|r| r.stage == "total" && r.regressed));
+        }
     }
 
     #[test]

@@ -498,12 +498,13 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
         .iter()
         .map(|&t| compile(&program, t))
         .collect();
+    let refs: Vec<&Binary> = binaries.iter().collect();
     let policy = opts.cache_policy()?;
     let store = ArtifactStore::open(opts.cache_dir()).map_err(|e| e.to_string())?;
     let orchestrator = Orchestrator::new(&store, policy);
     let (result, _) = orchestrator
         .run_cross_binary(
-            &binaries.iter().collect::<Vec<_>>(),
+            &refs,
             &input,
             &config,
             &format!("estimate {name} scale={scale:?}"),
@@ -512,28 +513,14 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
 
     // Bypass policy means "recompute everything", so skip the
     // persistent slice tier too and materialize in memory.
-    let traces = if policy == CachePolicy::Bypass {
-        TraceCache::in_memory()
-    } else {
-        TraceCache::new(Some(&store))
-    };
-    let mem = MemoryConfig::default();
+    let traces = TraceCache::new((policy != CachePolicy::Bypass).then_some(&store));
     let pool = Pool::new(config.simpoint.threads);
-    let n = result.interval_count();
-    let estimates = pool.run_indexed(binaries.len(), |b| {
-        traces.estimate_cpi_sliced(
-            &binaries[b],
-            &input,
-            &mem,
-            &result.boundaries[b],
-            &result.simpoint.points,
-            Some(&result.weights[b]),
-            n,
-        )
-    });
+    let estimates = traces
+        .estimate_cross_binary(&refs, &input, &MemoryConfig::default(), &result, &pool)
+        .map_err(|e| e.to_string())?;
     println!(
         "{name}: {} intervals, {} phases, {} simulation points (estimator {})",
-        n,
+        result.interval_count(),
         result.simpoint.k,
         result.simpoint.points.len(),
         config.estimator.tag()
@@ -542,13 +529,7 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
         "{:<10} {:>12} {:>10} {:>12} {:>10} {:>10}",
         "binary", "instructions", "true CPI", "estimated", "rel error", "CI ±"
     );
-    for (b, est) in estimates.into_iter().enumerate() {
-        let est = est.map_err(|e| e.to_string())?;
-        let rel = if est.true_cpi > 0.0 {
-            (est.estimated_cpi - est.true_cpi).abs() / est.true_cpi
-        } else {
-            0.0
-        };
+    for (b, est) in estimates.iter().enumerate() {
         let ci_half = cbsp_core::stratified_ci(
             &result.simpoint.points,
             &result.simpoint.labels,
@@ -561,7 +542,7 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
             est.instructions,
             est.true_cpi,
             est.estimated_cpi,
-            100.0 * rel,
+            100.0 * cbsp_core::relative_error(est.true_cpi, est.estimated_cpi),
             ci_half
         );
     }

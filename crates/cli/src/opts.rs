@@ -64,11 +64,7 @@ impl Opts {
 
     /// The standard input for the chosen scale.
     pub fn input(&self) -> Result<Input, String> {
-        Ok(match self.scale()? {
-            Scale::Test => Input::test(),
-            Scale::Train => Input::train(),
-            Scale::Reference => Input::reference(),
-        })
+        Ok(Input::for_scale(self.scale()?))
     }
 
     /// Worker-thread count from `--threads N` (default 0 = one per

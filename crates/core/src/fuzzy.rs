@@ -37,7 +37,7 @@
 
 use crate::inlining::recover_inlined;
 use crate::mappable::find_mappable_points;
-use crate::pipeline::{CbspConfig, MappedSlicing};
+use crate::pipeline::{phase_weights, CbspConfig, MappedSlicing};
 use crate::vli::VliProfile;
 use cbsp_par::Pool;
 use cbsp_profile::{CallGraph, CallLoopProfile, ExecPoint, MarkerCounts, MarkerRef, MavBuilder};
@@ -643,12 +643,6 @@ pub fn map_stage_fuzzy(
         acc += n;
         primary_pos.push(acc);
     }
-    let k = simpoint
-        .points
-        .iter()
-        .map(|p| p.phase as usize + 1)
-        .max()
-        .unwrap_or(1);
     let wants_mav = config.estimator.features.wants_mav();
 
     let est_ns = fuzzy_cost_estimate_ns(total_p, binaries.len());
@@ -656,9 +650,9 @@ pub fn map_stage_fuzzy(
         if b == primary {
             let mut slices = instrs.clone();
             slices.resize(n_intervals, 0);
-            let w = phase_weights(&slices, &simpoint.labels, k);
+            let w = phase_weights(&slices, simpoint);
             let mappings = vec![SimpointMapping::Exact; simpoint.points.len()];
-            return (vli.boundaries.clone(), slices, w, mappings);
+            return (vli.boundaries.clone(), (slices, (w, mappings)));
         }
         let builder = config.estimator.features.builder();
         let table = pair_table(
@@ -830,25 +824,15 @@ pub fn map_stage_fuzzy(
         }
         slices.push(total_b - prev);
         slices.resize(n_intervals, 0);
-        let w = phase_weights(&slices, &simpoint.labels, k);
+        let w = phase_weights(&slices, simpoint);
 
         let bounds: Vec<ExecPoint> = translated
             .into_iter()
             .map(|t| t.unwrap_or(UNMAPPED_BOUNDARY))
             .collect();
-        (bounds, slices, w, mappings)
+        (bounds, (slices, (w, mappings)))
     });
-
-    let mut boundaries = Vec::with_capacity(binaries.len());
-    let mut interval_instrs = Vec::with_capacity(binaries.len());
-    let mut weights = Vec::with_capacity(binaries.len());
-    let mut mappings = Vec::with_capacity(binaries.len());
-    for (bounds, slices, w, m) in per_binary {
-        boundaries.push(bounds);
-        interval_instrs.push(slices);
-        weights.push(w);
-        mappings.push(m);
-    }
+    let (boundaries, (interval_instrs, (weights, mappings))) = per_binary.into_iter().unzip();
 
     MappedSlicing {
         boundaries,
@@ -894,22 +878,6 @@ fn longest_ordered_subsequence(matched: &[(usize, u64, u64)]) -> Vec<usize> {
     }
     out.reverse();
     out
-}
-
-/// Phase weights from per-interval instruction counts (the same
-/// recalculation the exact map stage performs).
-fn phase_weights(slices: &[u64], labels: &[u32], k: usize) -> Vec<f64> {
-    let total: u64 = slices.iter().sum();
-    let mut w = vec![0.0f64; k];
-    for (i, &label) in labels.iter().enumerate() {
-        w[label as usize] += slices[i] as f64;
-    }
-    if total > 0 {
-        for x in w.iter_mut() {
-            *x /= total as f64;
-        }
-    }
-    w
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@
 //! * [`build_vli`] / [`VliProfile`] — variable-length intervals bounded
 //!   by mappable points (§3.2.3);
 //! * [`run_cross_binary`] — the end-to-end six-step pipeline (§3.2),
-//!   producing mapped simulation points and per-binary weights;
+//!   producing mapped simulation points and per-binary weights; it is
+//!   [`run_stages`], the one stage runner, with the no-op
+//!   [`StageHook`];
 //! * [`run_per_binary`] — the classic per-binary SimPoint baseline
 //!   (§2) the paper compares against;
 //! * [`estimate`] — CPI extrapolation, speedup, and the paper's error
@@ -71,8 +73,9 @@ pub use fuzzy::{
 pub use mappable::{find_mappable_points, MappablePoint, MappableSet, PointKind};
 pub use perbinary::{run_per_binary, PerBinaryResult};
 pub use pipeline::{
-    map_stage, mappable_stage, profile_stage, profile_stage_all, run_cross_binary, simpoint_stage,
-    validate_binaries, vli_stage, CbspConfig, CrossBinaryResult, MappableStage, MappedSlicing,
+    map_stage, mappable_stage, profile_stage, profile_stage_all, run_cross_binary, run_stages,
+    simpoint_stage, validate_binaries, vli_stage, CbspConfig, CrossBinaryResult, MappableStage,
+    MappedSlicing, Stage, StageHook,
 };
 pub use softmarkers::{
     marker_period_stats, marker_period_stats_all, select_phase_markers, slice_at_marker,

@@ -14,6 +14,12 @@
 //!    boundaries are `(marker, count)` pairs and markers are mappable;
 //! 6. recalculate each binary's phase weights from its own instruction
 //!    counts over the mapped intervals ([`slice_instr_counts`]).
+//!
+//! Each step is a public stage function; [`run_stages`] is the one
+//! runner that calls them in order. Callers add behaviour through a
+//! [`StageHook`]: [`run_cross_binary`] passes the no-op hook, the
+//! `cbsp-store` orchestrator caching and cancellation, the perf
+//! harness stage timers.
 
 use crate::error::CbspError;
 use crate::fuzzy::{extended_markers, map_stage_fuzzy, FuzzyConfig, SimpointMapping};
@@ -24,6 +30,7 @@ use cbsp_par::Pool;
 use cbsp_profile::{CallLoopProfile, ExecPoint, PinPointsFile, RegionBound, SimRegion};
 use cbsp_program::{Binary, Input};
 use cbsp_simpoint::{analyze, EstimatorConfig, SimPointConfig, SimPointResult};
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -444,12 +451,6 @@ pub fn map_stage(
     }
     let instrs: Vec<u64> = vli.intervals.iter().map(|i| i.instrs).collect();
     let n_intervals = vli.intervals.len();
-    let k = simpoint
-        .points
-        .iter()
-        .map(|p| p.phase as usize + 1)
-        .max()
-        .unwrap_or(1);
     let est_ns = map_cost_estimate_ns(instrs.iter().sum(), vli.boundaries.len(), binaries.len());
     let per_binary = pool.for_work(est_ns).run_indexed(binaries.len(), |b| {
         let bounds = vli
@@ -471,28 +472,12 @@ pub fn map_stage(
             slice_instr_counts(binaries[b], input, &bounds)
         };
         slices.resize(n_intervals, 0); // zero-length tail in this binary
-        let total: u64 = slices.iter().sum();
-        let mut w = vec![0.0f64; k];
-        for (i, &label) in simpoint.labels.iter().enumerate() {
-            w[label as usize] += slices[i] as f64;
-        }
-        if total > 0 {
-            for x in w.iter_mut() {
-                *x /= total as f64;
-            }
-        }
-        Ok((bounds, slices, w))
+        let w = phase_weights(&slices, simpoint);
+        Ok((bounds, (slices, w)))
     });
-
-    let mut boundaries = Vec::with_capacity(binaries.len());
-    let mut interval_instrs = Vec::with_capacity(binaries.len());
-    let mut weights = Vec::with_capacity(binaries.len());
-    for r in per_binary {
-        let (bounds, slices, w): (Vec<ExecPoint>, Vec<u64>, Vec<f64>) = r?;
-        boundaries.push(bounds);
-        interval_instrs.push(slices);
-        weights.push(w);
-    }
+    let (boundaries, (interval_instrs, weights)) = per_binary
+        .into_iter()
+        .collect::<Result<(Vec<_>, (Vec<_>, Vec<_>)), CbspError>>()?;
 
     Ok(MappedSlicing {
         boundaries,
@@ -500,6 +485,29 @@ pub fn map_stage(
         weights,
         mappings: Vec::new(), // exact runs: every point exact by construction
     })
+}
+
+/// One binary's recalculated phase weights: each phase's share of the
+/// instructions in `slices`, the binary's per-interval counts (paper
+/// §3.2.6). Shared by the exact and fuzzy map stages.
+pub(crate) fn phase_weights(slices: &[u64], simpoint: &SimPointResult) -> Vec<f64> {
+    let k = simpoint
+        .points
+        .iter()
+        .map(|p| p.phase as usize + 1)
+        .max()
+        .unwrap_or(1);
+    let total: u64 = slices.iter().sum();
+    let mut w = vec![0.0f64; k];
+    for (i, &label) in simpoint.labels.iter().enumerate() {
+        w[label as usize] += slices[i] as f64;
+    }
+    if total > 0 {
+        for x in w.iter_mut() {
+            *x /= total as f64;
+        }
+    }
+    w
 }
 
 /// Estimated serial cost of the map stage, for [`Pool::for_work`]
@@ -513,12 +521,139 @@ fn map_cost_estimate_ns(total_instrs: u64, n_boundaries: usize, n_binaries: usiz
         .saturating_add((n_boundaries * n_binaries) as u64 * 100)
 }
 
-/// Runs the full cross-binary pipeline over `binaries`.
+/// A pipeline stage. [`Stage::ALL`] is the one stage list of the
+/// workspace: the order [`run_stages`] executes them in, the order of
+/// the orchestrator's cache report and of the perf report's rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Stage {
+    /// Step 1: one call/loop profile per binary ([`profile_stage`]).
+    Profile,
+    /// Step 2: mappable points across all binaries ([`mappable_stage`]).
+    Mappable,
+    /// Step 3: variable-length intervals on the primary ([`vli_stage`]).
+    Vli,
+    /// Step 4: clustering of the primary's intervals ([`simpoint_stage`]).
+    Simpoint,
+    /// Steps 5–6: boundary translation and per-binary weights
+    /// ([`map_stage`], or [`map_stage_fuzzy`] when `config.fuzzy` is set).
+    Map,
+}
+
+impl Stage {
+    /// Every stage, in execution order.
+    pub const ALL: [Stage; 5] = [
+        Stage::Profile,
+        Stage::Mappable,
+        Stage::Vli,
+        Stage::Simpoint,
+        Stage::Map,
+    ];
+
+    /// The stage's name in cache reports, run manifests, cancellation
+    /// errors and perf reports.
+    pub fn name(self) -> &'static str {
+        ["profile", "mappable", "vli", "simpoint", "map"][self as usize]
+    }
+}
+
+/// Behaviour a caller adds to [`run_stages`] without re-sequencing the
+/// stages. Both methods default to no-ops; `()` is the no-op hook.
+pub trait StageHook: Sync {
+    /// Called at every stage boundary: with `Some(stage)` before `stage`
+    /// starts and with `None` after the last stage finishes. An error
+    /// abandons the run (cancellation); stages themselves are never
+    /// interrupted. Timing hooks timestamp here.
+    fn boundary(&self, _next: Option<Stage>) -> Result<(), CbspError> {
+        Ok(())
+    }
+
+    /// Wraps the computation of one stage artifact; caching hooks serve
+    /// or store the value here. `index` is the binary for
+    /// [`Stage::Profile`] (one artifact per binary, wrapped concurrently
+    /// from pool workers) and 0 for the other stages.
+    fn artifact<T, F>(&self, _stage: Stage, _index: usize, compute: F) -> Result<T, CbspError>
+    where
+        T: Serialize + DeserializeOwned + Send,
+        F: FnOnce() -> Result<T, CbspError>,
+    {
+        compute()
+    }
+}
+
+impl StageHook for () {}
+
+/// Runs the cross-binary pipeline over `binaries` — the one place the
+/// stages are sequenced — calling `hook` at every stage boundary and
+/// around every stage artifact. Stage outputs are moved into the result.
 ///
-/// This is the uncached composition of the stage functions
-/// ([`profile_stage`] → [`mappable_stage`] → [`vli_stage`] →
-/// [`simpoint_stage`] → [`map_stage`]); the `cbsp-store` crate wraps
-/// the same stages with a content-addressed artifact cache.
+/// # Errors
+///
+/// Returns an error when the binary set is empty, mixes programs, or
+/// the primary index is out of range, and any error `hook` returns.
+pub fn run_stages<H: StageHook>(
+    binaries: &[&Binary],
+    input: &Input,
+    config: &CbspConfig,
+    hook: &H,
+) -> Result<CrossBinaryResult, CbspError> {
+    validate_binaries(binaries, config)?;
+    let pool = Pool::new(config.simpoint.threads);
+
+    hook.boundary(Some(Stage::Profile))?;
+    let profiles = pool
+        .run_indexed(binaries.len(), |i| {
+            hook.artifact(Stage::Profile, i, || Ok(profile_stage(binaries[i], input)))
+        })
+        .into_iter()
+        .collect::<Result<Vec<CallLoopProfile>, CbspError>>()?;
+
+    hook.boundary(Some(Stage::Mappable))?;
+    let mappable = hook.artifact(Stage::Mappable, 0, || {
+        Ok(mappable_stage(binaries, &profiles))
+    })?;
+
+    hook.boundary(Some(Stage::Vli))?;
+    let vli = hook.artifact(Stage::Vli, 0, || {
+        Ok(vli_stage(binaries, input, config, &mappable.set, &profiles))
+    })?;
+
+    hook.boundary(Some(Stage::Simpoint))?;
+    let simpoint = hook.artifact(Stage::Simpoint, 0, || {
+        Ok(simpoint_stage(&vli, &config.simpoint, &config.estimator))
+    })?;
+
+    hook.boundary(Some(Stage::Map))?;
+    let mapped = hook.artifact(Stage::Map, 0, || match config.fuzzy {
+        Some(_) => Ok(map_stage_fuzzy(
+            binaries, input, &profiles, &vli, &simpoint, config, &pool,
+        )),
+        None => map_stage(
+            binaries,
+            input,
+            config.primary,
+            &mappable.set,
+            &vli,
+            &simpoint,
+            &pool,
+        ),
+    })?;
+    hook.boundary(None)?;
+
+    Ok(CrossBinaryResult {
+        mappable: mappable.set,
+        recovered_procs: mappable.recovered_procs,
+        primary: config.primary,
+        vli,
+        simpoint,
+        boundaries: mapped.boundaries,
+        interval_instrs: mapped.interval_instrs,
+        weights: mapped.weights,
+        mappings: mapped.mappings,
+    })
+}
+
+/// Runs the full cross-binary pipeline over `binaries`: [`run_stages`]
+/// with the no-op hook.
 ///
 /// # Errors
 ///
@@ -529,48 +664,7 @@ pub fn run_cross_binary(
     input: &Input,
     config: &CbspConfig,
 ) -> Result<CrossBinaryResult, CbspError> {
-    validate_binaries(binaries, config)?;
-    let pool = Pool::new(config.simpoint.threads);
-
-    // Steps 1-2: profiles and mappable points.
-    let profiles = profile_stage_all(binaries, input, &pool);
-    let MappableStage {
-        set: mappable,
-        recovered_procs,
-    } = mappable_stage(binaries, &profiles);
-
-    // Step 3: VLIs on the primary binary.
-    let primary = config.primary;
-    let vli = vli_stage(binaries, input, config, &mappable, &profiles);
-
-    // Step 4: SimPoint on the primary's interval features.
-    let simpoint = simpoint_stage(&vli, &config.simpoint, &config.estimator);
-
-    // Steps 5-6: boundary translation and weight recalculation —
-    // exact-only, or with the similarity fallback when fuzzy mapping
-    // is enabled.
-    let MappedSlicing {
-        boundaries,
-        interval_instrs,
-        weights,
-        mappings,
-    } = if config.fuzzy.is_some() {
-        map_stage_fuzzy(binaries, input, &profiles, &vli, &simpoint, config, &pool)
-    } else {
-        map_stage(binaries, input, primary, &mappable, &vli, &simpoint, &pool)?
-    };
-
-    Ok(CrossBinaryResult {
-        mappable,
-        recovered_procs,
-        primary,
-        vli,
-        simpoint,
-        boundaries,
-        interval_instrs,
-        weights,
-        mappings,
-    })
+    run_stages(binaries, input, config, &())
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@
 //! rerun.
 
 use crate::protocol::{fault, get, obj, param_str, param_str_or, param_u64_or, ErrorCode, Fault};
-use cbsp_core::{mapping_stats, CbspConfig, CbspError, CrossBinaryResult, FuzzyConfig};
+use cbsp_core::{
+    mapping_stats, relative_error, CbspConfig, CbspError, CrossBinaryResult, FuzzyConfig,
+};
 use cbsp_par::Pool;
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
 use cbsp_sim::MemoryConfig;
@@ -274,23 +276,19 @@ impl Engine {
     pub fn execute_estimate(&self, spec: &PipelineSpec, deadline: Instant) -> Reply {
         let run = self.run_cross(spec, self.threads, deadline)?;
         let cross = &run.cross;
-        let pool = Pool::new(self.threads);
-        let mem = MemoryConfig::default();
-        let n = cross.interval_count();
-        let estimates = pool.run_indexed(spec.binaries.len(), |b| {
-            self.traces.estimate_cpi_sliced(
-                &spec.binaries[b],
+        let refs: Vec<&Binary> = spec.binaries.iter().collect();
+        let estimates = self
+            .traces
+            .estimate_cross_binary(
+                &refs,
                 &spec.input,
-                &mem,
-                &cross.boundaries[b],
-                &cross.simpoint.points,
-                Some(&cross.weights[b]),
-                n,
+                &MemoryConfig::default(),
+                cross,
+                &Pool::new(self.threads),
             )
-        });
+            .map_err(internal)?;
         let mut binaries = Vec::with_capacity(spec.binaries.len());
-        for (b, est) in estimates.into_iter().enumerate() {
-            let est = est.map_err(internal)?;
+        for (b, est) in estimates.iter().enumerate() {
             // Zero for single-representative lanes by construction; the
             // stratified lane reports its half-width (see DESIGN.md).
             let ci_half = cbsp_core::stratified_ci(
@@ -305,11 +303,7 @@ impl Engine {
                 ("estimated_cpi", Value::Float(est.estimated_cpi)),
                 (
                     "rel_error",
-                    Value::Float(if est.true_cpi > 0.0 {
-                        (est.estimated_cpi - est.true_cpi).abs() / est.true_cpi
-                    } else {
-                        0.0
-                    }),
+                    Value::Float(relative_error(est.true_cpi, est.estimated_cpi)),
                 ),
                 ("ci_half", Value::Float(ci_half)),
             ]));

@@ -13,10 +13,10 @@
 //!   and described by human-readable run manifests. Corruption is
 //!   detected on read and reported as a typed
 //!   [`CbspError`](cbsp_core::CbspError) — never a panic.
-//! * [`Orchestrator`] — the `cbsp-core` pipeline as a five-stage graph
-//!   (`profile → mappable → vli → simpoint → map`) with per-stage cache
-//!   lookup, key-chained invalidation, and parallel profile collection
-//!   across binaries.
+//! * [`Orchestrator`] — the `cbsp-core` stage runner
+//!   (`profile → mappable → vli → simpoint → map`) with a hook that adds
+//!   per-stage cache lookup, key-chained invalidation and cancellation
+//!   at stage boundaries.
 //!
 //! ## Example
 //!
@@ -58,7 +58,7 @@ pub use blob::{
 };
 pub use orchestrator::{
     pipeline_keys, stage_namespaces, CachePolicy, Orchestrator, PipelineKeys, RunReport,
-    StageNamespaces, StageOutcome, STAGE_ORDER,
+    StageNamespaces, StageOutcome,
 };
 pub use sha256::{hex_digest, Sha256};
 pub use store::{

@@ -1,5 +1,5 @@
-//! The stage-graph orchestrator: the cross-binary pipeline of
-//! `cbsp-core` expressed as named, individually cached stages.
+//! The caching orchestrator: the cross-binary pipeline of `cbsp-core`
+//! with every stage artifact served from, or written to, the store.
 //!
 //! ```text
 //! profile(b0) ─┐
@@ -7,35 +7,29 @@
 //! profile(b…) ─┘
 //! ```
 //!
-//! Each stage's content key is derived from everything that determines
-//! its output — the binaries (hashed), the workload input, the stage
-//! configuration, and the keys of upstream stages — so editing any
-//! input invalidates exactly the downstream stages and nothing else.
-//! Profile collection, the only per-binary stage, runs its binaries in
-//! parallel on scoped threads.
+//! The stages run in [`cbsp_core::run_stages`], the one stage runner;
+//! the orchestrator only supplies its [`StageHook`]: a cache lookup
+//! around each artifact's compute and a cancellation poll at each
+//! stage boundary. Each stage's content key is derived from everything
+//! that determines its output — the binaries (hashed), the workload
+//! input, the stage configuration, and the keys of upstream stages —
+//! so editing any input invalidates exactly the downstream stages and
+//! nothing else.
 
 use cbsp_core::{
-    map_stage, map_stage_fuzzy, mappable_stage, profile_stage, simpoint_stage, validate_binaries,
-    vli_stage, CbspConfig, CbspError, CrossBinaryResult, MappableStage, MappedSlicing,
+    run_stages, validate_binaries, CbspConfig, CbspError, CrossBinaryResult, Stage, StageHook,
 };
-use cbsp_par::Pool;
-use cbsp_profile::CallLoopProfile;
 use cbsp_program::{Binary, Input};
-use cbsp_simpoint::{EstimatorConfig, SimPointConfig, SimPointResult};
+use cbsp_simpoint::{EstimatorConfig, SimPointConfig};
 use serde::Value;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use crate::sha256::hex_digest;
 use crate::store::{
     canonical_json, content_hash, key_part, stage_key, ArtifactStore, ManifestStage, RunManifest,
     StageKey,
 };
-
-/// The five pipeline stages, in dependency order. These are *logical*
-/// stage names; the estimator-dependent stages (`vli`, `simpoint`,
-/// `map`) are stored under estimator-tagged namespaces — see
-/// [`stage_namespaces`].
-pub const STAGE_ORDER: [&str; 5] = ["profile", "mappable", "vli", "simpoint", "map"];
 
 /// Store namespaces of the estimator-dependent pipeline stages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,7 +210,7 @@ pub enum CachePolicy {
 /// What happened to one stage execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageOutcome {
-    /// Stage name (one of [`STAGE_ORDER`]).
+    /// Stage name ([`Stage::name`]).
     pub stage: String,
     /// Display label (e.g. the binary a profile covers).
     pub label: String,
@@ -249,9 +243,10 @@ impl RunReport {
 
     /// Per-stage `(name, hits, executions)` in pipeline order.
     pub fn stage_summary(&self) -> Vec<(&'static str, usize, usize)> {
-        STAGE_ORDER
-            .iter()
-            .map(|&name| {
+        Stage::ALL
+            .map(Stage::name)
+            .into_iter()
+            .map(|name| {
                 let of_stage = self.outcomes.iter().filter(|o| o.stage == name);
                 let total = of_stage.clone().count();
                 let hits = of_stage.filter(|o| o.hit).count();
@@ -260,7 +255,7 @@ impl RunReport {
             .collect()
     }
 
-    /// Number of pipeline stages (out of [`STAGE_ORDER`]'s five) whose
+    /// Number of pipeline stages (out of [`Stage::ALL`]'s five) whose
     /// executions were *all* served from the store.
     pub fn stages_fully_hit(&self) -> usize {
         self.stage_summary()
@@ -312,96 +307,6 @@ impl<'s> Orchestrator<'s> {
         self
     }
 
-    /// Returns [`CbspError::Cancelled`] if the cancellation check (if
-    /// any) has fired.
-    fn check_cancelled(&self, stage: &str) -> Result<(), CbspError> {
-        match &self.cancel {
-            Some(check) if check() => Err(CbspError::Cancelled {
-                stage: stage.to_string(),
-            }),
-            _ => Ok(()),
-        }
-    }
-
-    /// Runs one stage through the cache: look up under `key`, compute
-    /// on miss, store the result. A corrupt stored artifact is treated
-    /// as a miss and repaired in place (the typed error is only
-    /// surfaced to direct `ArtifactStore::get` callers); other store
-    /// errors propagate.
-    ///
-    /// `stage` is the logical stage name (one of [`STAGE_ORDER`], used
-    /// for outcomes and trace counters); `ns` is the store namespace
-    /// the artifact lives under — identical to `stage` except for
-    /// non-default estimator lanes (see [`stage_namespaces`]).
-    fn cached<T, F>(
-        &self,
-        stage: &'static str,
-        ns: &str,
-        label: &str,
-        key: &StageKey,
-        compute: F,
-    ) -> Result<(T, StageOutcome), CbspError>
-    where
-        T: serde::Serialize + serde::de::DeserializeOwned,
-        F: FnOnce() -> Result<T, CbspError>,
-    {
-        let mut repair = false;
-        if self.policy == CachePolicy::ReadWrite {
-            match self.store.get::<T>(ns, key) {
-                Ok(Some(value)) => {
-                    cbsp_trace::add("store/hits", 1);
-                    if cbsp_trace::enabled() {
-                        cbsp_trace::add(&format!("store/hit/{stage}"), 1);
-                    }
-                    return Ok((
-                        value,
-                        StageOutcome {
-                            stage: stage.to_string(),
-                            label: label.to_string(),
-                            key: key.clone(),
-                            hit: true,
-                        },
-                    ));
-                }
-                Ok(None) => {}
-                Err(
-                    CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. },
-                ) => {
-                    repair = true;
-                    cbsp_trace::add("store/repairs", 1);
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        if self.policy != CachePolicy::Bypass {
-            cbsp_trace::add("store/misses", 1);
-            if cbsp_trace::enabled() {
-                cbsp_trace::add(&format!("store/miss/{stage}"), 1);
-            }
-        }
-        let value = compute()?;
-        match self.policy {
-            CachePolicy::Bypass => {}
-            CachePolicy::Refresh => self.store.put_overwrite(ns, key, &value)?,
-            CachePolicy::ReadWrite => {
-                if repair {
-                    self.store.put_overwrite(ns, key, &value)?;
-                } else {
-                    self.store.put(ns, key, &value)?;
-                }
-            }
-        }
-        Ok((
-            value,
-            StageOutcome {
-                stage: stage.to_string(),
-                label: label.to_string(),
-                key: key.clone(),
-                hit: false,
-            },
-        ))
-    }
-
     /// Runs the full cross-binary pipeline with per-stage caching,
     /// returning the result (identical to
     /// [`cbsp_core::run_cross_binary`] on the same inputs) and the
@@ -409,7 +314,8 @@ impl<'s> Orchestrator<'s> {
     ///
     /// # Errors
     ///
-    /// Returns validation errors from the pipeline and
+    /// Returns validation errors from the pipeline,
+    /// [`CbspError::Cancelled`] when the cancellation check fires, and
     /// [`CbspError::StoreIo`] on store failure.
     pub fn run_cross_binary(
         &self,
@@ -418,88 +324,21 @@ impl<'s> Orchestrator<'s> {
         config: &CbspConfig,
         description: &str,
     ) -> Result<(CrossBinaryResult, RunReport), CbspError> {
-        let keys = pipeline_keys(binaries, input, config)?;
-        let ns = stage_namespaces(&config.estimator, config.fuzzy.is_some());
-        let mut outcomes: Vec<StageOutcome> = Vec::with_capacity(binaries.len() + 4);
-
-        // Stage 1 — profile, in parallel across binaries.
-        self.check_cancelled("profile")?;
-        let pool = Pool::new(config.simpoint.threads);
-        let mut profiles: Vec<CallLoopProfile> = Vec::with_capacity(binaries.len());
-        let results: Vec<Result<(CallLoopProfile, StageOutcome), CbspError>> =
-            pool.run_indexed(binaries.len(), |i| {
-                self.cached(
-                    "profile",
-                    "profile",
-                    &binaries[i].label(),
-                    &keys.profile[i],
-                    || Ok(profile_stage(binaries[i], input)),
-                )
-            });
-        for result in results {
-            let (profile, outcome) = result?;
-            profiles.push(profile);
-            outcomes.push(outcome);
-        }
-
-        // Stage 2 — mappable points across all binaries.
-        self.check_cancelled("mappable")?;
-        let (mappable, outcome) = self.cached(
-            "mappable",
-            "mappable",
-            "all binaries",
-            &keys.mappable,
-            || Ok(mappable_stage(binaries, &profiles)),
-        )?;
-        outcomes.push(outcome);
-        let MappableStage {
-            set: mappable,
-            recovered_procs,
-        } = mappable;
-
-        // Stage 3 — variable-length intervals on the primary.
-        self.check_cancelled("vli")?;
-        let (vli, outcome) = self.cached(
-            "vli",
-            &ns.vli,
-            &binaries[config.primary].label(),
-            &keys.vli,
-            || Ok(vli_stage(binaries, input, config, &mappable, &profiles)),
-        )?;
-        outcomes.push(outcome);
-
-        // Stage 4 — SimPoint clustering of the primary's intervals.
-        self.check_cancelled("simpoint")?;
-        let (simpoint, outcome): (SimPointResult, _) = self.cached(
-            "simpoint",
-            &ns.simpoint,
-            "primary intervals",
-            &keys.simpoint,
-            || Ok(simpoint_stage(&vli, &config.simpoint, &config.estimator)),
-        )?;
-        outcomes.push(outcome);
-
-        // Stage 5 — boundary translation and per-binary weights.
-        self.check_cancelled("map")?;
-        let (mapped, outcome): (MappedSlicing, _) =
-            self.cached("map", &ns.map, "all binaries", &keys.map, || {
-                if config.fuzzy.is_some() {
-                    Ok(map_stage_fuzzy(
-                        binaries, input, &profiles, &vli, &simpoint, config, &pool,
-                    ))
-                } else {
-                    map_stage(
-                        binaries,
-                        input,
-                        config.primary,
-                        &mappable,
-                        &vli,
-                        &simpoint,
-                        &pool,
-                    )
-                }
-            })?;
-        outcomes.push(outcome);
+        let hook = CacheHook {
+            orchestrator: self,
+            binaries,
+            primary: config.primary,
+            keys: pipeline_keys(binaries, input, config)?,
+            ns: stage_namespaces(&config.estimator, config.fuzzy.is_some()),
+            outcomes: Mutex::default(),
+        };
+        let result = run_stages(binaries, input, config, &hook)?;
+        let outcomes: Vec<StageOutcome> = hook
+            .outcomes
+            .into_inner()
+            .expect("outcome lock")
+            .into_values()
+            .collect();
 
         let run_key = run_key_of(&outcomes);
         if self.policy != CachePolicy::Bypass {
@@ -521,19 +360,113 @@ impl<'s> Orchestrator<'s> {
                     .collect(),
             })?;
         }
-
-        let result = CrossBinaryResult {
-            mappable,
-            recovered_procs,
-            primary: config.primary,
-            vli,
-            simpoint,
-            boundaries: mapped.boundaries,
-            interval_instrs: mapped.interval_instrs,
-            weights: mapped.weights,
-            mappings: mapped.mappings,
-        };
         Ok((result, RunReport { run_key, outcomes }))
+    }
+}
+
+/// The orchestrator's [`StageHook`]: a cancellation poll before each
+/// stage and the store around each artifact, recording one
+/// [`StageOutcome`] per artifact.
+struct CacheHook<'a, 's> {
+    orchestrator: &'a Orchestrator<'s>,
+    binaries: &'a [&'a Binary],
+    primary: usize,
+    keys: PipelineKeys,
+    ns: StageNamespaces,
+    /// Keyed by `(stage, index)`, so profile outcomes recorded by
+    /// concurrent workers still come out in pipeline and binary order.
+    outcomes: Mutex<BTreeMap<(Stage, usize), StageOutcome>>,
+}
+
+impl StageHook for CacheHook<'_, '_> {
+    fn boundary(&self, next: Option<Stage>) -> Result<(), CbspError> {
+        match (next, &self.orchestrator.cancel) {
+            (Some(stage), Some(cancelled)) if cancelled() => Err(CbspError::Cancelled {
+                stage: stage.name().to_string(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Looks the artifact up under its key, computes it on a miss and
+    /// stores the result. A corrupt stored artifact is a miss repaired
+    /// in place (the typed error is only surfaced to direct
+    /// `ArtifactStore::get` callers); other store errors propagate.
+    fn artifact<T, F>(&self, stage: Stage, index: usize, compute: F) -> Result<T, CbspError>
+    where
+        T: serde::Serialize + serde::de::DeserializeOwned + Send,
+        F: FnOnce() -> Result<T, CbspError>,
+    {
+        // The store namespace is the stage's name except for
+        // non-default estimator lanes (see [`stage_namespaces`]).
+        let (ns, key) = match stage {
+            Stage::Profile => ("profile", &self.keys.profile[index]),
+            Stage::Mappable => ("mappable", &self.keys.mappable),
+            Stage::Vli => (self.ns.vli.as_str(), &self.keys.vli),
+            Stage::Simpoint => (self.ns.simpoint.as_str(), &self.keys.simpoint),
+            Stage::Map => (self.ns.map.as_str(), &self.keys.map),
+        };
+        let label = match stage {
+            Stage::Profile => self.binaries[index].label(),
+            Stage::Vli => self.binaries[self.primary].label(),
+            Stage::Simpoint => "primary intervals".to_string(),
+            Stage::Mappable | Stage::Map => "all binaries".to_string(),
+        };
+        let Orchestrator { store, policy, .. } = self.orchestrator;
+        let mut repair = false;
+        let stored = match policy {
+            CachePolicy::ReadWrite => match store.get::<T>(ns, key) {
+                Ok(stored) => stored,
+                Err(
+                    CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. },
+                ) => {
+                    repair = true;
+                    cbsp_trace::add("store/repairs", 1);
+                    None
+                }
+                Err(other) => return Err(other),
+            },
+            CachePolicy::Refresh | CachePolicy::Bypass => None,
+        };
+        let hit = stored.is_some();
+        if *policy != CachePolicy::Bypass {
+            let (total, kind) = if hit {
+                ("store/hits", "hit")
+            } else {
+                ("store/misses", "miss")
+            };
+            cbsp_trace::add(total, 1);
+            if cbsp_trace::enabled() {
+                cbsp_trace::add(&format!("store/{kind}/{}", stage.name()), 1);
+            }
+        }
+        let value = match stored {
+            Some(value) => value,
+            None => {
+                let value = compute()?;
+                match policy {
+                    CachePolicy::Bypass => {}
+                    CachePolicy::ReadWrite if !repair => {
+                        store.put(ns, key, &value)?;
+                    }
+                    CachePolicy::ReadWrite | CachePolicy::Refresh => {
+                        store.put_overwrite(ns, key, &value)?;
+                    }
+                }
+                value
+            }
+        };
+        let outcome = StageOutcome {
+            stage: stage.name().to_string(),
+            label,
+            key: key.clone(),
+            hit,
+        };
+        self.outcomes
+            .lock()
+            .expect("outcome lock")
+            .insert((stage, index), outcome);
+        Ok(value)
     }
 }
 

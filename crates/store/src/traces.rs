@@ -34,7 +34,7 @@
 //! writes the blob beside it, and `gc` evicts the orphan because no run
 //! manifest references trace keys.
 
-use cbsp_core::{weighted_cpi, weighted_cpi_with, CbspError};
+use cbsp_core::{weighted_cpi, weighted_cpi_with, CbspError, CrossBinaryResult};
 use cbsp_par::Pool;
 use cbsp_profile::ExecPoint;
 use cbsp_program::{Binary, Input};
@@ -724,6 +724,36 @@ impl<'s> TraceCache<'s> {
             estimated_cpi,
             interval_cpis,
         })
+    }
+    /// [`TraceCache::estimate_cpi_sliced`] for every binary of `cross`,
+    /// one job per binary on `pool`, in binary order: binary `b` at its
+    /// own mapped boundaries with its recalculated phase weights.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first store error encountered, in binary order.
+    pub fn estimate_cross_binary(
+        &self,
+        binaries: &[&Binary],
+        input: &Input,
+        config: &MemoryConfig,
+        cross: &CrossBinaryResult,
+        pool: &Pool,
+    ) -> Result<Vec<CpiEstimate>, CbspError> {
+        let n = cross.interval_count();
+        pool.run_indexed(binaries.len(), |b| {
+            self.estimate_cpi_sliced(
+                binaries[b],
+                input,
+                config,
+                &cross.boundaries[b],
+                &cross.simpoint.points,
+                Some(&cross.weights[b]),
+                n,
+            )
+        })
+        .into_iter()
+        .collect()
     }
 }
 
