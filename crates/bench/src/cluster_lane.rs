@@ -374,7 +374,6 @@ mod tests {
 
     #[test]
     fn cluster_lane_scales_and_stays_byte_identical() {
-        let _guard = cbsp_trace::test_lock();
         let dir = std::env::temp_dir().join(format!("cbsp-cluster-lane-{}", std::process::id()));
         // A small working set keeps the test fast; it still exceeds
         // nothing, so only identity and structure are asserted here —

@@ -24,7 +24,7 @@ use cbsp_store::{ArtifactStore, CpiEstimate, TraceCache};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Wall time of one pipeline stage at both thread counts.
@@ -223,21 +223,17 @@ pub fn run_perf(
         measure(name, scale, interval_target, 1, mem, &traces)
     };
 
-    // Trace only the parallel run, so the embedded counters explain the
-    // numbers the gate actually guards (queue wait, bound skips, cache
-    // traffic at N threads). Restore the collector state afterwards.
-    let was_enabled = cbsp_trace::enabled();
-    cbsp_trace::reset();
-    cbsp_trace::enable();
+    // Trace only the parallel run, into a private recorder, so the
+    // embedded counters explain the numbers the gate actually guards
+    // (queue wait, bound skips, cache traffic at N threads) and the
+    // caller's own trace is left alone.
+    let recorder = Arc::new(cbsp_trace::Recorder::new());
     let parallel = {
+        let _installed = recorder.install();
         let traces = TraceCache::new(Some(&store));
         measure(name, scale, interval_target, threads, mem, &traces)
     };
-    let mut metrics = cbsp_trace::snapshot().counters;
-    if !was_enabled {
-        cbsp_trace::disable();
-    }
-    cbsp_trace::reset();
+    let mut metrics = recorder.snapshot().counters;
     let _ = std::fs::remove_dir_all(&store_dir);
 
     // The store-tier counters are part of the report schema even when
@@ -519,7 +515,6 @@ mod tests {
 
     #[test]
     fn perf_report_is_complete_and_identical() {
-        let _guard = cbsp_trace::test_lock();
         let r = run_perf("gzip", Scale::Test, 20_000, 4, &MemoryConfig::table1());
         assert_eq!(r.threads, parallel_threads(4), "records the count used");
         assert_eq!(r.stages.len(), 8);

@@ -281,7 +281,6 @@ mod tests {
 
     #[test]
     fn serve_lane_measures_warm_speedup() {
-        let _guard = cbsp_trace::test_lock();
         let dir = std::env::temp_dir().join(format!("cbsp-serve-lane-{}", std::process::id()));
         let lane = run_serve_lane("gzip", Scale::Test, 20_000, 4, &dir);
         let _ = std::fs::remove_dir_all(&dir);

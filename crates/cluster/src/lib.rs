@@ -33,6 +33,14 @@
 //! The shard map is versioned and persisted in the router's store, so
 //! topology survives restarts and external tools can audit it.
 //!
+//! ## Metrics
+//!
+//! The router counts into one [`cbsp_trace::Recorder`] of its own:
+//! per-worker routed, retry, failover and restart counts, and
+//! fleet-only request, unavailable, health-check and error counts.
+//! `GET /metrics` reports each per-worker count in its shard's section
+//! and their sum in the `cluster` section, so the two always agree.
+//!
 //! ## Example
 //!
 //! ```no_run
@@ -52,7 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod metrics;
 pub mod router;
 pub mod shard_map;
 mod worker;

@@ -21,7 +21,6 @@
 //! candidate fails, the client receives the last real backpressure
 //! frame if one was seen, else `unavailable`.
 
-use crate::metrics::RouterMetrics;
 use crate::shard_map::{ShardEntry, ShardMap};
 use crate::worker::{http_get, Worker};
 use cbsp_serve::protocol::{
@@ -30,8 +29,8 @@ use cbsp_serve::protocol::{
 use cbsp_serve::route::{route, Route};
 use cbsp_serve::ServeConfig;
 use cbsp_store::ArtifactStore;
+use cbsp_trace::Recorder;
 use serde::Value;
-use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -100,13 +99,31 @@ pub(crate) struct RouterCore {
     workers: Vec<Worker>,
     map: Mutex<ShardMap>,
     store: ArtifactStore,
-    metrics: RouterMetrics,
+    /// Routing counters, fleet-wide and per worker.
+    metrics: Recorder,
     draining: AtomicBool,
     addr: Mutex<Option<SocketAddr>>,
     started: Instant,
 }
 
+// Fleet-only counter names. The per-worker counters ("routed",
+// "retries", "failovers", "restarts") live under `shard_metric` names
+// and are reported fleet-wide as their sum over shards, so the two
+// views cannot disagree.
+const REQUESTS: &str = "cluster/requests";
+const UNAVAILABLE: &str = "cluster/unavailable";
+const HEALTH_CHECKS: &str = "cluster/health_checks";
+const ERRORS: &str = "cluster/errors";
+
+fn shard_metric(shard: u64, what: &str) -> String {
+    format!("cluster/shard/{shard}/{what}")
+}
+
 impl RouterCore {
+    fn count_shard(&self, worker: &Worker, what: &str) {
+        self.metrics.add(&shard_metric(worker.shard, what), 1);
+    }
+
     fn is_draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
@@ -236,7 +253,7 @@ impl Cluster {
             workers,
             map: Mutex::new(map),
             store,
-            metrics: RouterMetrics::default(),
+            metrics: Recorder::new(),
             draining: AtomicBool::new(false),
             addr: Mutex::new(Some(addr)),
             started: Instant::now(),
@@ -340,46 +357,24 @@ impl Cluster {
     }
 }
 
-/// Serves one accepted router connection: the same NDJSON dialect
-/// with an HTTP/1.1 sniffer the daemon itself speaks.
+/// Serves one accepted router connection in the daemon's own dialect.
 fn handle(core: Arc<RouterCore>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        if is_http_request_line(&line) {
-            serve_http(&core, line.clone(), &mut reader, &mut writer);
-            return;
-        }
-        let frame = handle_frame(&core, line.trim());
-        if writer
-            .write_all(frame.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            return;
-        }
-    }
+    cbsp_serve::conn::serve(
+        stream,
+        |line| handle_frame(&core, line),
+        |method, path| match (method, path) {
+            ("GET", "/healthz") => Some(healthz_body(&core)),
+            ("GET", "/metrics") => Some(metrics_body(&core)),
+            _ => None,
+        },
+    );
 }
 
 /// Classifies and answers one frame. Frames answered locally (ping,
 /// shutdown, errors) reproduce the daemon's bytes exactly; everything
 /// else is forwarded and the worker's response relayed unchanged.
 fn handle_frame(core: &Arc<RouterCore>, line: &str) -> String {
-    core.metrics.count_request();
+    core.metrics.add(REQUESTS, 1);
     let request = match parse_request(line) {
         Ok(r) => r,
         Err((code, message)) => {
@@ -390,14 +385,14 @@ fn handle_frame(core: &Arc<RouterCore>, line: &str) -> String {
                 .and_then(|p| get(p, "id"))
                 .cloned()
                 .unwrap_or(Value::Null);
-            core.metrics.count_error();
+            core.metrics.add(ERRORS, 1);
             return err_frame(&id, code, &message);
         }
     };
     let decision = match route(&request) {
         Ok(d) => d,
         Err((code, message)) => {
-            core.metrics.count_error();
+            core.metrics.add(ERRORS, 1);
             return err_frame(&request.id, code, &message);
         }
     };
@@ -408,7 +403,7 @@ fn handle_frame(core: &Arc<RouterCore>, line: &str) -> String {
             ok_frame(&request.id, obj(vec![("draining", Value::Bool(true))]))
         }
         Route::AnyShard | Route::Digest(_) if core.is_draining() => {
-            core.metrics.count_error();
+            core.metrics.add(ERRORS, 1);
             err_frame(&request.id, ErrorCode::ShuttingDown, "server is draining")
         }
         Route::AnyShard => {
@@ -448,11 +443,12 @@ fn forward(core: &Arc<RouterCore>, request: &Request, preference: &[usize], line
         .copied()
         .collect();
     let mut last_rejection: Option<String> = None;
-    let mut abandoned_one = false;
+    let mut abandoned: Option<&Worker> = None;
     for index in candidates {
         let worker = &core.workers[index];
-        if abandoned_one {
-            core.metrics.count_failover();
+        // The one point where a request moves to the next shard.
+        if let Some(previous) = abandoned {
+            core.count_shard(previous, "failovers");
         }
         match worker.exchange(&payload, timeout) {
             Ok(response) => {
@@ -461,15 +457,13 @@ fn forward(core: &Arc<RouterCore>, request: &Request, preference: &[usize], line
                         // Honor the worker's own backoff hint (capped),
                         // then retry the same worker once: its queue
                         // holds this digest's warm state.
-                        core.metrics.count_retry();
-                        worker.retries.fetch_add(1, Ordering::Relaxed);
+                        core.count_shard(worker, "retries");
                         thread::sleep(Duration::from_millis(
                             retry_after_ms.min(core.cfg.retry_after_cap_ms),
                         ));
                         if let Ok(retried) = worker.exchange(&payload, timeout) {
                             if rejection_of(&retried).is_none() {
-                                worker.routed.fetch_add(1, Ordering::Relaxed);
-                                core.metrics.count_routed();
+                                core.count_shard(worker, "routed");
                                 return retried;
                             }
                             last_rejection = Some(retried);
@@ -479,8 +473,7 @@ fn forward(core: &Arc<RouterCore>, request: &Request, preference: &[usize], line
                         last_rejection = Some(response);
                     }
                     None => {
-                        worker.routed.fetch_add(1, Ordering::Relaxed);
-                        core.metrics.count_routed();
+                        core.count_shard(worker, "routed");
                         return response;
                     }
                 }
@@ -491,16 +484,15 @@ fn forward(core: &Arc<RouterCore>, request: &Request, preference: &[usize], line
                 worker.healthy.store(false, Ordering::SeqCst);
             }
         }
-        worker.failovers.fetch_add(1, Ordering::Relaxed);
-        abandoned_one = true;
+        abandoned = Some(worker);
     }
     // Truthful backpressure beats a synthetic error: if some worker
     // answered with overloaded/shutting_down, relay that frame.
     if let Some(frame) = last_rejection {
         return frame;
     }
-    core.metrics.count_unavailable();
-    core.metrics.count_error();
+    core.metrics.add(UNAVAILABLE, 1);
+    core.metrics.add(ERRORS, 1);
     err_frame(
         &request.id,
         ErrorCode::Unavailable,
@@ -548,7 +540,7 @@ fn health_loop(core: &Arc<RouterCore>) {
             if core.is_draining() {
                 return;
             }
-            core.metrics.count_health_check();
+            core.metrics.add(HEALTH_CHECKS, 1);
             let body = worker
                 .addr()
                 .and_then(|a| http_get(a, "/healthz", Duration::from_millis(500)).ok());
@@ -559,8 +551,7 @@ fn health_loop(core: &Arc<RouterCore>) {
                     if worker.restart_due() {
                         match worker.start(&core.worker_template()) {
                             Ok(addr) => {
-                                worker.restarts.fetch_add(1, Ordering::Relaxed);
-                                core.metrics.count_restart();
+                                core.count_shard(worker, "restarts");
                                 core.update_shard_addr(index, addr);
                             }
                             Err(_) => worker.backoff_restart(
@@ -590,54 +581,6 @@ fn healthz_version(body: &str) -> Option<String> {
     }
 }
 
-/// `true` when the line looks like an HTTP/1.x request line.
-fn is_http_request_line(line: &str) -> bool {
-    let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let _path = parts.next().unwrap_or("");
-    let version = parts.next().unwrap_or("");
-    matches!(
-        method,
-        "GET" | "HEAD" | "POST" | "PUT" | "DELETE" | "OPTIONS"
-    ) && version.starts_with("HTTP/1.")
-}
-
-/// One-shot HTTP adapter: `GET /healthz` and `GET /metrics` on the
-/// router port.
-fn serve_http<R: Read>(
-    core: &Arc<RouterCore>,
-    request_line: String,
-    reader: &mut BufReader<R>,
-    writer: &mut TcpStream,
-) {
-    let mut header = String::new();
-    loop {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) | Err(_) => break,
-            Ok(_) if header.trim().is_empty() => break,
-            Ok(_) => {}
-        }
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, body) = match (method, path) {
-        ("GET", "/healthz") => ("200 OK", healthz_body(core)),
-        ("GET", "/metrics") => ("200 OK", metrics_body(core)),
-        _ => (
-            "404 Not Found",
-            r#"{"error":"not found (try /healthz or /metrics)"}"#.to_string(),
-        ),
-    };
-    let _ = write!(
-        writer,
-        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = writer.flush();
-}
-
 /// The router's `/healthz`: fleet-level health at a glance. `role`
 /// distinguishes it from a worker's probe on the same port scheme.
 fn healthz_body(core: &Arc<RouterCore>) -> String {
@@ -658,44 +601,45 @@ fn healthz_body(core: &Arc<RouterCore>) -> String {
     .expect("healthz serializes")
 }
 
-/// The router's `/metrics`: aggregate counters, one section per
-/// worker (with its queue depth fetched on demand), and the global
-/// trace snapshot with the mirrored `cluster/*` counters.
+/// The router's `/metrics`: fleet counters, one section per worker
+/// (with its queue depth fetched on demand), and the router process's
+/// global trace snapshot.
 fn metrics_body(core: &Arc<RouterCore>) -> String {
-    let m = &core.metrics;
+    let counters = core.metrics.snapshot().counters;
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    let per_shard = |w: &Worker, what: &str| Value::UInt(counter(&shard_metric(w.shard, what)));
+    let fleet = |what: &str| {
+        let sum = core
+            .workers
+            .iter()
+            .map(|w| counter(&shard_metric(w.shard, what)));
+        Value::UInt(sum.sum())
+    };
     let map = core.map.lock().expect("map lock").clone();
     let cluster = obj(vec![
         ("protocol", Value::UInt(PROTOCOL_VERSION)),
         ("version", Value::Str(env!("CARGO_PKG_VERSION").to_string())),
         ("uptime_s", Value::UInt(core.started.elapsed().as_secs())),
         ("shard_map_version", Value::UInt(map.version)),
-        ("requests", Value::UInt(m.requests.load(Ordering::Relaxed))),
-        ("routed", Value::UInt(m.routed.load(Ordering::Relaxed))),
-        ("retries", Value::UInt(m.retries.load(Ordering::Relaxed))),
-        (
-            "failovers",
-            Value::UInt(m.failovers.load(Ordering::Relaxed)),
-        ),
-        ("restarts", Value::UInt(m.restarts.load(Ordering::Relaxed))),
-        (
-            "unavailable",
-            Value::UInt(m.unavailable.load(Ordering::Relaxed)),
-        ),
-        (
-            "health_checks",
-            Value::UInt(m.health_checks.load(Ordering::Relaxed)),
-        ),
-        ("errors", Value::UInt(m.errors.load(Ordering::Relaxed))),
+        ("requests", Value::UInt(counter(REQUESTS))),
+        ("routed", fleet("routed")),
+        ("retries", fleet("retries")),
+        ("failovers", fleet("failovers")),
+        ("restarts", fleet("restarts")),
+        ("unavailable", Value::UInt(counter(UNAVAILABLE))),
+        ("health_checks", Value::UInt(counter(HEALTH_CHECKS))),
+        ("errors", Value::UInt(counter(ERRORS))),
         ("draining", Value::Bool(core.is_draining())),
     ]);
     let shards = Value::Array(
         core.workers
             .iter()
             .zip(map.shards.iter())
-            .map(|(worker, entry)| shard_section(worker, entry))
+            .map(|(worker, entry)| shard_section(worker, entry, |what| per_shard(worker, what)))
             .collect(),
     );
-    let trace = serde_json::parse(&cbsp_trace::metrics_json()).unwrap_or(Value::Null);
+    let trace =
+        serde_json::parse(&cbsp_trace::global().snapshot().to_json()).unwrap_or(Value::Null);
     serde_json::to_string(&obj(vec![
         ("cluster", cluster),
         ("shards", shards),
@@ -704,9 +648,10 @@ fn metrics_body(core: &Arc<RouterCore>) -> String {
     .expect("metrics serialize")
 }
 
-/// One worker's `/metrics` section, including its live queue depth
-/// (fetched on demand; `null` when the worker is unreachable).
-fn shard_section(worker: &Worker, entry: &ShardEntry) -> Value {
+/// One worker's `/metrics` section: its routing `counter`s and its live
+/// queue depth (fetched on demand; `null` when the worker is
+/// unreachable).
+fn shard_section(worker: &Worker, entry: &ShardEntry, counter: impl Fn(&str) -> Value) -> Value {
     let depths = worker.addr().and_then(|a| {
         let body = http_get(a, "/metrics", Duration::from_millis(500)).ok()?;
         let value = serde_json::parse(&body).ok()?;
@@ -730,19 +675,10 @@ fn shard_section(worker: &Worker, entry: &ShardEntry) -> Value {
             Value::Bool(worker.healthy.load(Ordering::SeqCst)),
         ),
         ("version", worker.version().map_or(Value::Null, Value::Str)),
-        ("routed", Value::UInt(worker.routed.load(Ordering::Relaxed))),
-        (
-            "retries",
-            Value::UInt(worker.retries.load(Ordering::Relaxed)),
-        ),
-        (
-            "failovers",
-            Value::UInt(worker.failovers.load(Ordering::Relaxed)),
-        ),
-        (
-            "restarts",
-            Value::UInt(worker.restarts.load(Ordering::Relaxed)),
-        ),
+        ("routed", counter("routed")),
+        ("retries", counter("retries")),
+        ("failovers", counter("failovers")),
+        ("restarts", counter("restarts")),
         (
             "queue_depth",
             depths.map_or(Value::Null, |(d, _)| Value::UInt(d)),

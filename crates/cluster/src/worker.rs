@@ -17,7 +17,7 @@ use cbsp_serve::{ServeConfig, Server};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -59,14 +59,6 @@ pub(crate) struct Worker {
     /// Routable: flipped false after `health_failures` consecutive
     /// probe failures or a connect failure, true on probe success.
     pub healthy: AtomicBool,
-    /// Requests this worker answered.
-    pub routed: AtomicU64,
-    /// Same-worker retries after an `overloaded` backoff hint.
-    pub retries: AtomicU64,
-    /// Requests abandoned here and moved to the next shard.
-    pub failovers: AtomicU64,
-    /// Times the router restarted this worker.
-    pub restarts: AtomicU64,
     state: Mutex<WorkerState>,
 }
 
@@ -87,10 +79,6 @@ impl Worker {
             spawned,
             cache_dir,
             healthy: AtomicBool::new(true),
-            routed: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
             state: Mutex::new(WorkerState {
                 addr,
                 server: None,

@@ -279,3 +279,44 @@ fn adopts_external_workers_and_refuses_to_kill_them() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// When every candidate shard fails, the request is `unavailable` and
+/// the fleet counters still equal the sums of the per-shard ones: a
+/// failover is counted only where a request moves to a next shard.
+#[test]
+fn fleet_counters_equal_the_per_shard_sums_when_every_shard_fails() {
+    let closed = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("reserves a port");
+    let (cluster, addr, dir) = start("closed-port", |cfg| {
+        cfg.adopt = vec![closed.to_string()];
+    });
+
+    let response = parse(&one_shot(addr, &run_frame(20_000)));
+    assert_eq!(
+        field(&response, "error.code"),
+        &Value::Str("unavailable".into())
+    );
+
+    let metrics = parse(&http_get(addr, "/metrics"));
+    assert_eq!(field(&metrics, "cluster.unavailable"), &Value::UInt(1));
+    let shards = field(&metrics, "shards").as_array().expect("shards array");
+    for counter in ["routed", "retries", "failovers", "restarts"] {
+        let per_shard: u64 = shards
+            .iter()
+            .map(|s| match field(s, counter) {
+                Value::UInt(n) => *n,
+                other => panic!("shard {counter} not a count: {other:?}"),
+            })
+            .sum();
+        assert_eq!(
+            field(&metrics, &format!("cluster.{counter}")),
+            &Value::UInt(per_shard),
+            "fleet {counter} vs the sum over shards"
+        );
+    }
+
+    cluster.shutdown();
+    cluster.wait().expect("router drains");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -143,7 +143,8 @@ impl Pool {
     /// Runs `f(i)` for every `i` in `0..n` and returns the results in
     /// index order. Jobs are claimed dynamically by up to
     /// `min(threads, n)` scoped workers; with one worker (or one job)
-    /// everything runs inline, in order, on the caller's thread.
+    /// everything runs inline, in order, on the caller's thread. Workers
+    /// inherit the caller's installed `cbsp-trace` recorder.
     ///
     /// Each `f(i)` must be a pure function of `i` for the output to be
     /// deterministic — the pool guarantees placement, not purity.
@@ -161,18 +162,21 @@ impl Pool {
             cbsp_trace::add("pool/jobs_inline", n as u64);
             return (0..n).map(f).collect();
         }
-        // When tracing is on, each worker accumulates its queue-wait
-        // (claim time minus fan-out start — time the job sat waiting
-        // while workers were busy or still spawning) and execute time
-        // locally, then merges once into the global counters. When
-        // off, `submitted` is `None` and the loop takes no clock
-        // readings at all.
-        let submitted = cbsp_trace::enabled().then(Instant::now);
+        // Workers record into the caller's installed recorder, if any.
+        // When something records, each worker accumulates its
+        // queue-wait (claim time minus fan-out start — time the job sat
+        // waiting while workers were busy or still spawning) and
+        // execute time locally, then merges once into the counters.
+        // When nothing records, `submitted` is `None` and the loop
+        // takes no clock readings at all.
+        let recorder = cbsp_trace::current();
+        let submitted = cbsp_trace::recording().then(Instant::now);
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
+                    let _installed = recorder.as_ref().map(cbsp_trace::Recorder::install);
                     let mut jobs = 0u64;
                     let mut queue_wait_ns = 0u64;
                     let mut exec_ns = 0u64;
@@ -273,17 +277,14 @@ pub fn chunk_ranges(n: usize, chunk: usize) -> impl Iterator<Item = Range<usize>
     })
 }
 
-// The `cbsp-trace` counters are process-global and the pool adds to
-// them on every fan-out. Every test here that runs a pool holds
-// `cbsp_trace::test_lock()` for its whole body, so no test adds to the
-// counters another one asserts exact values of.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     #[test]
     fn run_indexed_preserves_order() {
-        let _guard = cbsp_trace::test_lock();
         for threads in [1, 2, 8] {
             let pool = Pool::new(threads);
             let out = pool.run_indexed(100, |i| i * i);
@@ -293,7 +294,6 @@ mod tests {
 
     #[test]
     fn run_indexed_handles_empty_and_single() {
-        let _guard = cbsp_trace::test_lock();
         let pool = Pool::new(4);
         assert_eq!(pool.run_indexed(0, |i| i), Vec::<usize>::new());
         assert_eq!(pool.run_indexed(1, |i| i + 7), vec![7]);
@@ -309,7 +309,6 @@ mod tests {
 
     #[test]
     fn reduction_is_bit_identical_across_thread_counts() {
-        let _guard = cbsp_trace::test_lock();
         // A floating-point sum whose value depends on association
         // order: if chunking or merge order varied with the thread
         // count, these results would differ in the low bits.
@@ -334,7 +333,6 @@ mod tests {
 
     #[test]
     fn reduce_chunks_empty_is_none() {
-        let _guard = cbsp_trace::test_lock();
         let pool = Pool::new(4);
         assert_eq!(
             pool.reduce_chunks(0, 8, |_| 0.0f64, |a: f64, b| a + b),
@@ -360,7 +358,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk size must be positive")]
     fn zero_chunk_panics() {
-        let _guard = cbsp_trace::test_lock();
         let _ = Pool::serial().map_chunks(10, 0, |r| r.len());
     }
 
@@ -380,34 +377,80 @@ mod tests {
         assert!(Pool::serial().for_work(u64::MAX).is_serial());
     }
 
+    /// Runs `f` with a fresh private recorder installed and returns the
+    /// result with the recorder's counters.
+    fn recorded<R>(f: impl FnOnce() -> R) -> (R, BTreeMap<String, u64>) {
+        let recorder = Arc::new(cbsp_trace::Recorder::new());
+        let out = {
+            let _installed = recorder.install();
+            f()
+        };
+        (out, recorder.snapshot().counters)
+    }
+
     #[test]
     fn trace_counters_merge_exactly_under_concurrent_jobs() {
-        let _guard = cbsp_trace::test_lock();
-        cbsp_trace::enable();
-        cbsp_trace::reset();
-        let out = Pool::new(8).run_indexed(200, |i| {
-            cbsp_trace::add("par/test_jobs", 1);
-            i * 3
+        let (out, counters) = recorded(|| {
+            let out = Pool::new(8).run_indexed(200, |i| {
+                cbsp_trace::add("par/test_jobs", 1);
+                i * 3
+            });
+            Pool::serial().run_indexed(5, |_| ());
+            out
         });
-        Pool::serial().run_indexed(5, |_| ());
-        let snap = cbsp_trace::snapshot();
-        cbsp_trace::disable();
-        cbsp_trace::reset();
         assert_eq!(out, (0..200).map(|i| i * 3).collect::<Vec<_>>());
         // Per-job increments from 8 concurrent workers merge without
         // loss, and the pool's own batched counters agree.
-        assert_eq!(snap.counters["par/test_jobs"], 200);
-        assert_eq!(snap.counters["pool/jobs_executed"], 200);
-        assert_eq!(snap.counters["pool/jobs_inline"], 5);
-        assert_eq!(snap.counters["pool/fan_outs"], 1);
-        assert_eq!(snap.counters["pool/workers_spawned"], 8);
-        assert!(snap.counters.contains_key("pool/exec_ns"));
-        assert!(snap.counters.contains_key("pool/queue_wait_ns"));
+        assert_eq!(counters["par/test_jobs"], 200);
+        assert_eq!(counters["pool/jobs_executed"], 200);
+        assert_eq!(counters["pool/jobs_inline"], 5);
+        assert_eq!(counters["pool/fan_outs"], 1);
+        assert_eq!(counters["pool/workers_spawned"], 8);
+        assert!(counters.contains_key("pool/exec_ns"));
+        assert!(counters.contains_key("pool/queue_wait_ns"));
+    }
+
+    #[test]
+    fn concurrent_private_recorders_stay_separate() {
+        cbsp_trace::enable();
+        // Both threads have their recorder installed before either
+        // fans out, so the two pools run at the same time.
+        let both_installed = std::sync::Barrier::new(2);
+        let per_thread: Vec<BTreeMap<String, u64>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        recorded(|| {
+                            both_installed.wait();
+                            Pool::new(8).run_indexed(200, |i| {
+                                cbsp_trace::add("par/private_jobs", 1);
+                                i
+                            })
+                        })
+                        .1
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("joins"))
+                .collect()
+        });
+        let global = cbsp_trace::global().snapshot().counters;
+        cbsp_trace::disable();
+        for counters in &per_thread {
+            assert_eq!(counters["pool/jobs_executed"], 200);
+            assert_eq!(counters["pool/fan_outs"], 1);
+            assert_eq!(counters["par/private_jobs"], 200);
+        }
+        // Other tests may run pools against the enabled global
+        // recorder meanwhile, so only this test's own counter is
+        // checked there.
+        assert!(!global.contains_key("par/private_jobs"));
     }
 
     #[test]
     fn tracing_does_not_change_results() {
-        let _guard = cbsp_trace::test_lock();
         let values: Vec<f64> = (0..5000).map(|i| (i as f64).sin() * 1e6).collect();
         let sum = |pool: &Pool| {
             pool.reduce_chunks(
@@ -419,19 +462,17 @@ mod tests {
             .expect("nonempty")
         };
         let pool = Pool::new(8);
-        cbsp_trace::disable();
         let off = sum(&pool);
-        cbsp_trace::enable();
-        cbsp_trace::reset();
-        let on = sum(&pool);
-        cbsp_trace::disable();
-        cbsp_trace::reset();
+        let (on, counters) = recorded(|| sum(&pool));
+        assert!(
+            counters.contains_key("pool/exec_ns"),
+            "the traced run recorded"
+        );
         assert_eq!(off.to_bits(), on.to_bits());
     }
 
     #[test]
     fn worker_panics_propagate() {
-        let _guard = cbsp_trace::test_lock();
         let result = std::panic::catch_unwind(|| {
             Pool::new(4).run_indexed(16, |i| {
                 if i == 7 {

@@ -10,19 +10,53 @@
 //! connections).
 
 use crate::engine::{prepare_spec, Reply, Work};
+use crate::metrics;
 use crate::protocol::{
     err_frame, err_frame_retry, fault, obj, ok_frame, parse_request, ErrorCode, Request,
 };
 use crate::server::ServerCore;
 use serde::Value;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Serves one accepted connection to completion.
+/// Serves one accepted daemon connection to completion.
 pub(crate) fn handle(core: Arc<ServerCore>, stream: TcpStream) {
+    serve(
+        stream,
+        |line| handle_frame(&core, line),
+        |method, path| match (method, path) {
+            ("GET", "/healthz") => Some(
+                serde_json::to_string(&obj(vec![
+                    ("status", Value::Str("ok".to_string())),
+                    // Build version and uptime let operators (and the
+                    // cluster router) detect mixed-version fleets and
+                    // silent restarts from the probe they already run.
+                    ("version", Value::Str(env!("CARGO_PKG_VERSION").to_string())),
+                    ("uptime_s", Value::UInt(core.uptime_s())),
+                    ("shard", core.cfg.shard_id.map_or(Value::Null, Value::UInt)),
+                    ("draining", Value::Bool(core.is_draining())),
+                ]))
+                .expect("healthz serializes"),
+            ),
+            ("GET", "/metrics") => Some(metrics::render(&core)),
+            _ => None,
+        },
+    );
+}
+
+/// Serves one accepted connection to completion in the daemon's
+/// dialect (see the module docs): `frame` answers each NDJSON line;
+/// a connection opening with an HTTP request line gets one response,
+/// the `200 OK` JSON body `http(method, path)` returns, or a `404`
+/// when it returns `None`. The cluster router speaks the same dialect
+/// through this function.
+pub fn serve(
+    stream: TcpStream,
+    frame: impl Fn(&str) -> String,
+    http: impl Fn(&str, &str) -> Option<String>,
+) {
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -40,12 +74,32 @@ pub(crate) fn handle(core: Arc<ServerCore>, stream: TcpStream) {
             continue;
         }
         if is_http_request_line(&line) {
-            serve_http(&core, line.clone(), &mut reader, &mut writer);
+            // Drain headers; bodies are not accepted on these endpoints.
+            let mut header = String::new();
+            while matches!(reader.read_line(&mut header), Ok(n) if n > 0 && !header.trim().is_empty())
+            {
+                header.clear();
+            }
+            let mut parts = line.split_whitespace();
+            let (status, body) = match http(parts.next().unwrap_or(""), parts.next().unwrap_or(""))
+            {
+                Some(body) => ("200 OK", body),
+                None => (
+                    "404 Not Found",
+                    r#"{"error":"not found (try /healthz or /metrics)"}"#.to_string(),
+                ),
+            };
+            let _ = write!(
+                writer,
+                "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            );
+            let _ = writer.flush();
             return;
         }
-        let frame = handle_frame(&core, line.trim());
+        let response = frame(line.trim());
         if writer
-            .write_all(frame.as_bytes())
+            .write_all(response.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))
             .and_then(|()| writer.flush())
             .is_err()
@@ -69,20 +123,19 @@ fn handle_frame(core: &Arc<ServerCore>, line: &str) -> String {
                 .and_then(|p| crate::protocol::get(p, "id"))
                 .cloned()
                 .unwrap_or(Value::Null);
-            core.metrics.count_request("(invalid)");
-            core.metrics.count_error(code.as_str());
+            count_request(core, "(invalid)");
+            count_error(core, code);
             return err_frame(&id, code, &message);
         }
     };
-    core.metrics.count_request(&request.method);
+    count_request(core, &request.method);
     let outcome = dispatch(core, &request);
     core.metrics
-        .latency
-        .record_us(started.elapsed().as_micros() as u64);
+        .observe(metrics::LATENCY_US, started.elapsed().as_micros() as u64);
     match outcome {
         Ok(result) => ok_frame(&request.id, result),
         Err((code, message)) => {
-            core.metrics.count_error(code.as_str());
+            count_error(core, code);
             if code == ErrorCode::Overloaded {
                 // Backpressure carries a backoff hint so clients (and
                 // the cluster router) wait instead of hot-retrying.
@@ -92,6 +145,19 @@ fn handle_frame(core: &Arc<ServerCore>, line: &str) -> String {
             }
         }
     }
+}
+
+/// Counts one request of `method` (plus the total).
+fn count_request(core: &ServerCore, method: &str) {
+    core.metrics.add(metrics::REQUESTS, 1);
+    core.metrics
+        .add(&format!("{}{method}", metrics::REQUESTS_BY_METHOD), 1);
+}
+
+/// Counts one error response with `code`.
+fn count_error(core: &ServerCore, code: ErrorCode) {
+    core.metrics
+        .add(&format!("{}{}", metrics::ERRORS_BY_CODE, code.as_str()), 1);
 }
 
 /// Routes a request to its handler. Queued methods block this
@@ -161,113 +227,4 @@ fn is_http_request_line(line: &str) -> bool {
         method,
         "GET" | "HEAD" | "POST" | "PUT" | "DELETE" | "OPTIONS"
     ) && version.starts_with("HTTP/1.")
-}
-
-/// One-shot HTTP adapter: `GET /healthz` and `GET /metrics`.
-fn serve_http<R: Read>(
-    core: &Arc<ServerCore>,
-    request_line: String,
-    reader: &mut BufReader<R>,
-    writer: &mut TcpStream,
-) {
-    // Drain headers; bodies are not accepted on these endpoints.
-    let mut header = String::new();
-    loop {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) | Err(_) => break,
-            Ok(_) if header.trim().is_empty() => break,
-            Ok(_) => {}
-        }
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, body) = match (method, path) {
-        ("GET", "/healthz") => (
-            "200 OK",
-            serde_json::to_string(&obj(vec![
-                ("status", Value::Str("ok".to_string())),
-                // Build version and uptime let operators (and the
-                // cluster router) detect mixed-version fleets and
-                // silent restarts from the probe they already run.
-                ("version", Value::Str(env!("CARGO_PKG_VERSION").to_string())),
-                ("uptime_s", Value::UInt(core.uptime_s())),
-                ("shard", core.cfg.shard_id.map_or(Value::Null, Value::UInt)),
-                ("draining", Value::Bool(core.is_draining())),
-            ]))
-            .expect("healthz serializes"),
-        ),
-        ("GET", "/metrics") => ("200 OK", metrics_body(core)),
-        _ => (
-            "404 Not Found",
-            r#"{"error":"not found (try /healthz or /metrics)"}"#.to_string(),
-        ),
-    };
-    let _ = write!(
-        writer,
-        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = writer.flush();
-}
-
-/// The `/metrics` document: serve-side counters, cache effectiveness,
-/// and the global trace snapshot.
-fn metrics_body(core: &Arc<ServerCore>) -> String {
-    let (depth, executing) = core.queue_depths();
-    let serve = core
-        .metrics
-        .to_value(depth as u64, executing as u64, core.is_draining());
-
-    let snapshot = cbsp_trace::snapshot();
-    let counter = |name: &str| *snapshot.counters.get(name).unwrap_or(&0);
-    let ratio = |hits: u64, misses: u64| {
-        let total = hits + misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    };
-    let (store_hits, store_misses) = (counter("store/hits"), counter("store/misses"));
-    let (trace_hits, trace_misses) = (
-        counter("sim/trace_cache_hits"),
-        counter("sim/trace_cache_misses"),
-    );
-    let singleflight = core.metrics.singleflight_hits.load(Ordering::Relaxed);
-    let requests = core.metrics.requests.load(Ordering::Relaxed);
-    let result_hits = core.engine.result_hits.load(Ordering::Relaxed);
-    let result_misses = core.engine.result_misses.load(Ordering::Relaxed);
-    let cache = obj(vec![
-        ("store_hits", Value::UInt(store_hits)),
-        ("store_misses", Value::UInt(store_misses)),
-        (
-            "store_hit_ratio",
-            Value::Float(ratio(store_hits, store_misses)),
-        ),
-        ("trace_hits", Value::UInt(trace_hits)),
-        ("trace_misses", Value::UInt(trace_misses)),
-        (
-            "trace_hit_ratio",
-            Value::Float(ratio(trace_hits, trace_misses)),
-        ),
-        ("result_hits", Value::UInt(result_hits)),
-        ("result_misses", Value::UInt(result_misses)),
-        (
-            "result_hit_ratio",
-            Value::Float(ratio(result_hits, result_misses)),
-        ),
-        (
-            "singleflight_hit_ratio",
-            Value::Float(ratio(singleflight, requests.saturating_sub(singleflight))),
-        ),
-    ]);
-    let trace = serde_json::parse(&cbsp_trace::metrics_json()).unwrap_or(Value::Null);
-    serde_json::to_string(&obj(vec![
-        ("serve", serve),
-        ("cache", cache),
-        ("trace", trace),
-    ]))
-    .expect("metrics serialize")
 }

@@ -30,7 +30,6 @@ use cbsp_store::{
 };
 use serde::Value;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -106,10 +105,6 @@ pub(crate) struct Engine {
     /// Completed runs keyed by map-stage digest, FIFO-evicted at
     /// [`RESULT_CACHE_CAP`].
     runs: Mutex<ResultCache>,
-    /// Requests answered from the result cache (for `/metrics`).
-    pub result_hits: AtomicU64,
-    /// Requests that had to run the (store-backed) pipeline.
-    pub result_misses: AtomicU64,
 }
 
 /// The `fuzzy_map` param: absent, `null`, or `false` ⇒ exact-only
@@ -245,8 +240,6 @@ impl Engine {
             store,
             threads,
             runs: Mutex::new(ResultCache::default()),
-            result_hits: AtomicU64::new(0),
-            result_misses: AtomicU64::new(0),
         }
     }
 
@@ -388,7 +381,7 @@ impl Engine {
 
     /// The global [`cbsp_trace`] snapshot (counters/gauges/spans).
     pub fn execute_trace_snapshot(&self) -> Reply {
-        let metrics = serde_json::parse(&cbsp_trace::metrics_json())
+        let metrics = serde_json::parse(&cbsp_trace::global().snapshot().to_json())
             .map_err(|e| fault(ErrorCode::Internal, format!("snapshot encode: {e}")))?;
         Ok(obj(vec![
             ("enabled", Value::Bool(cbsp_trace::enabled())),
@@ -408,16 +401,15 @@ impl Engine {
         threads: usize,
         deadline: Instant,
     ) -> Result<Arc<CachedRun>, Fault> {
-        use std::sync::atomic::Ordering;
         let cache_key = spec.keys.map.as_hex().to_string();
         if let Some(hit) = {
             let cache = self.runs.lock().expect("result cache lock");
             cache.entries.get(&cache_key).cloned()
         } {
-            self.result_hits.fetch_add(1, Ordering::Relaxed);
+            cbsp_trace::add(crate::metrics::RESULT_HITS, 1);
             return Ok(hit);
         }
-        self.result_misses.fetch_add(1, Ordering::Relaxed);
+        cbsp_trace::add(crate::metrics::RESULT_MISSES, 1);
 
         let config = CbspConfig {
             simpoint: cbsp_simpoint::SimPointConfig {

@@ -6,7 +6,7 @@
 //! content-addressed and immutable — perfect to keep warm. This crate
 //! serves the cross-binary pipeline from long-lived state: one
 //! [`ArtifactStore`](cbsp_store::ArtifactStore) handle, one in-memory
-//! trace cache, one metrics registry, shared by every request.
+//! trace cache, one `cbsp-trace` recorder, shared by every request.
 //!
 //! Built entirely on `std` networking — the workspace vendors its
 //! dependencies and takes no async runtime.
@@ -48,9 +48,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod conn;
+pub mod conn;
 mod engine;
-pub mod metrics;
+mod metrics;
 pub mod protocol;
 pub mod route;
 mod server;

@@ -1,196 +1,103 @@
-//! Server-local counters and a log-bucketed latency histogram.
+//! The `GET /metrics` document, rendered from the server's recorder.
 //!
-//! Kept separate from the global [`cbsp_trace`] collector on purpose:
-//! these counters describe *this server instance* (admission decisions,
-//! batching, request latency) and must work even when tracing is
-//! disabled, while `cbsp_trace` aggregates whatever pipeline work runs
-//! in the process. `GET /metrics` surfaces both side by side.
+//! A server owns one [`cbsp_trace::Recorder`]. Connection and
+//! dispatcher threads count admission decisions and request latency
+//! straight into it. Each executed batch runs under a fresh recorder
+//! whose counters and histogram samples — store, trace-cache and
+//! result-cache traffic, pool fan-outs — are folded in when the batch
+//! finishes. Every number here therefore describes *this server
+//! instance*, whether or not process-wide tracing is enabled; the
+//! `trace` section shows the global recorder alongside.
 
 use crate::protocol::obj;
+use crate::server::ServerCore;
 use serde::Value;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// Number of power-of-two latency buckets: bucket `i` counts samples in
-/// `[2^i, 2^(i+1))` microseconds, so the top bucket starts at ~34 s.
-const BUCKETS: usize = 36;
+// Counter names. `REQUESTS_BY_METHOD` and `ERRORS_BY_CODE` prefix a
+// method name or error code; `BATCH_SIZE` (items per `pipeline.run`
+// batch) and `LATENCY_US` (parse to response) are histograms.
+pub(crate) const REQUESTS: &str = "serve/requests";
+pub(crate) const REQUESTS_BY_METHOD: &str = "serve/requests/";
+pub(crate) const ERRORS_BY_CODE: &str = "serve/errors/";
+pub(crate) const SINGLEFLIGHT_HITS: &str = "serve/singleflight_hits";
+pub(crate) const OVERLOADED: &str = "serve/overloaded";
+pub(crate) const TIMEOUTS: &str = "serve/timeouts";
+pub(crate) const QUEUE_WAIT_US: &str = "serve/queue_wait_us";
+pub(crate) const BATCH_SIZE: &str = "serve/batch_size";
+pub(crate) const LATENCY_US: &str = "serve/latency_us";
+pub(crate) const RESULT_HITS: &str = "serve/result_hits";
+pub(crate) const RESULT_MISSES: &str = "serve/result_misses";
 
-/// A lock-free power-of-two histogram of microsecond samples. Quantile
-/// estimates return the upper bound of the containing bucket, i.e. they
-/// are conservative to within a factor of two — plenty for the
-/// "did p95 regress 10x" question `/metrics` exists to answer.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-}
+/// The `/metrics` body: the `serve` section, cache effectiveness, and
+/// the global trace snapshot.
+pub(crate) fn render(core: &ServerCore) -> String {
+    let m = &core.metrics;
+    let counters = m.snapshot().counters;
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    let by_prefix = |prefix: &str| {
+        Value::Object(
+            counters
+                .iter()
+                .filter_map(|(k, v)| Some((k.strip_prefix(prefix)?.to_string(), Value::UInt(*v))))
+                .collect(),
+        )
+    };
+    let (queue_depth, executing) = core.queue_depths();
+    let batches = m.histogram(BATCH_SIZE);
+    let latency = m.histogram(LATENCY_US);
+    let latency_ms = |q: f64| Value::Float(latency.quantile(q) as f64 / 1000.0);
+    let serve = obj(vec![
+        ("requests", Value::UInt(counter(REQUESTS))),
+        ("by_method", by_prefix(REQUESTS_BY_METHOD)),
+        ("errors_by_code", by_prefix(ERRORS_BY_CODE)),
+        ("singleflight_hits", Value::UInt(counter(SINGLEFLIGHT_HITS))),
+        ("overloaded", Value::UInt(counter(OVERLOADED))),
+        ("timeouts", Value::UInt(counter(TIMEOUTS))),
+        ("batches", Value::UInt(batches.count())),
+        ("batched_requests", Value::UInt(batches.sum())),
+        ("max_batch", Value::UInt(batches.max())),
+        ("queue_depth", Value::UInt(queue_depth as u64)),
+        ("executing", Value::UInt(executing as u64)),
+        ("draining", Value::Bool(core.is_draining())),
+        (
+            "queue_wait_ms_total",
+            Value::Float(counter(QUEUE_WAIT_US) as f64 / 1000.0),
+        ),
+        (
+            "latency_ms",
+            obj(vec![
+                ("count", Value::UInt(latency.count())),
+                ("p50", latency_ms(0.50)),
+                ("p95", latency_ms(0.95)),
+            ]),
+        ),
+    ]);
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-        }
+    let ratio = |hits: u64, misses: u64| Value::Float(hits as f64 / (hits + misses).max(1) as f64);
+    let mut cache = Vec::new();
+    for (prefix, hits, misses) in [
+        ("store", "store/hits", "store/misses"),
+        ("trace", "sim/trace_cache_hits", "sim/trace_cache_misses"),
+        ("result", RESULT_HITS, RESULT_MISSES),
+    ] {
+        let (h, m) = (counter(hits), counter(misses));
+        cache.push((format!("{prefix}_hits"), Value::UInt(h)));
+        cache.push((format!("{prefix}_misses"), Value::UInt(m)));
+        cache.push((format!("{prefix}_hit_ratio"), ratio(h, m)));
     }
-}
+    let singleflight = counter(SINGLEFLIGHT_HITS);
+    let others = counter(REQUESTS).saturating_sub(singleflight);
+    cache.push((
+        "singleflight_hit_ratio".to_string(),
+        ratio(singleflight, others),
+    ));
 
-impl Histogram {
-    /// Records one sample of `us` microseconds.
-    pub fn record_us(&self, us: u64) {
-        let idx = (63 - u64::leading_zeros(us.max(1)) as usize).min(BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) in milliseconds, or 0 when empty.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = ((total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                // Upper bound of bucket i: 2^(i+1) µs.
-                return (1u64 << (i + 1).min(63)) as f64 / 1000.0;
-            }
-        }
-        (1u64 << BUCKETS) as f64 / 1000.0
-    }
-}
-
-/// All serve-side counters, updated by connection and worker threads.
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
-    /// Requests received (every parsed frame, including rejected ones).
-    pub requests: AtomicU64,
-    /// Requests that joined an identical in-flight request instead of
-    /// queueing their own execution.
-    pub singleflight_hits: AtomicU64,
-    /// Requests rejected because the admission queue was full.
-    pub overloaded: AtomicU64,
-    /// Requests that hit their deadline (in queue or at a stage
-    /// boundary).
-    pub timeouts: AtomicU64,
-    /// Micro-batches executed (a solo `pipeline.run` counts as a batch
-    /// of one).
-    pub batches: AtomicU64,
-    /// `pipeline.run` executions that went through a batch.
-    pub batched_requests: AtomicU64,
-    /// Largest batch executed so far.
-    pub max_batch: AtomicU64,
-    /// Total time requests spent queued before a worker picked them up.
-    pub queue_wait_us: AtomicU64,
-    /// End-to-end request latency (parse to response), µs buckets.
-    pub latency: Histogram,
-    per_method: Mutex<BTreeMap<String, u64>>,
-    per_error: Mutex<BTreeMap<String, u64>>,
-}
-
-impl ServeMetrics {
-    /// Counts a request of `method`.
-    pub fn count_request(&self, method: &str) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.per_method.lock().expect("metrics lock");
-        *map.entry(method.to_string()).or_insert(0) += 1;
-    }
-
-    /// Counts an error response with the given code.
-    pub fn count_error(&self, code: &str) {
-        let mut map = self.per_error.lock().expect("metrics lock");
-        *map.entry(code.to_string()).or_insert(0) += 1;
-    }
-
-    /// Records a completed batch of `n` pipeline executions.
-    pub fn count_batch(&self, n: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests.fetch_add(n, Ordering::Relaxed);
-        self.max_batch.fetch_max(n, Ordering::Relaxed);
-    }
-
-    /// Renders the `serve` section of `GET /metrics`. `queue_depth` and
-    /// `executing` are sampled by the caller under the queue lock.
-    pub fn to_value(&self, queue_depth: u64, executing: u64, draining: bool) -> Value {
-        let load = |a: &AtomicU64| Value::UInt(a.load(Ordering::Relaxed));
-        let map_value = |m: &Mutex<BTreeMap<String, u64>>| {
-            Value::Object(
-                m.lock()
-                    .expect("metrics lock")
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::UInt(*v)))
-                    .collect(),
-            )
-        };
-        obj(vec![
-            ("requests", load(&self.requests)),
-            ("by_method", map_value(&self.per_method)),
-            ("errors_by_code", map_value(&self.per_error)),
-            ("singleflight_hits", load(&self.singleflight_hits)),
-            ("overloaded", load(&self.overloaded)),
-            ("timeouts", load(&self.timeouts)),
-            ("batches", load(&self.batches)),
-            ("batched_requests", load(&self.batched_requests)),
-            ("max_batch", load(&self.max_batch)),
-            ("queue_depth", Value::UInt(queue_depth)),
-            ("executing", Value::UInt(executing)),
-            ("draining", Value::Bool(draining)),
-            (
-                "queue_wait_ms_total",
-                Value::Float(self.queue_wait_us.load(Ordering::Relaxed) as f64 / 1000.0),
-            ),
-            (
-                "latency_ms",
-                obj(vec![
-                    ("count", Value::UInt(self.latency.count())),
-                    ("p50", Value::Float(self.latency.quantile_ms(0.50))),
-                    ("p95", Value::Float(self.latency.quantile_ms(0.95))),
-                ]),
-            ),
-        ])
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn histogram_quantiles_bracket_samples() {
-        let h = Histogram::default();
-        for _ in 0..99 {
-            h.record_us(1_000); // ~1 ms
-        }
-        h.record_us(1_000_000); // ~1 s straggler
-        assert_eq!(h.count(), 100);
-        let p50 = h.quantile_ms(0.50);
-        assert!((1.0..=2.048).contains(&p50), "p50 = {p50}");
-        let p95 = h.quantile_ms(0.95);
-        assert!(p95 <= 2.048, "p95 = {p95}");
-        let p100 = h.quantile_ms(1.0);
-        assert!(p100 >= 1_000.0, "p100 = {p100}");
-    }
-
-    #[test]
-    fn empty_histogram_is_zero() {
-        let h = Histogram::default();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile_ms(0.95), 0.0);
-    }
-
-    #[test]
-    fn metrics_render_without_panicking() {
-        let m = ServeMetrics::default();
-        m.count_request("ping");
-        m.count_error("bad_request");
-        m.count_batch(3);
-        let v = m.to_value(2, 1, false);
-        let text = serde_json::to_string(&v).expect("serializes");
-        assert!(text.contains("\"requests\":1"));
-        assert!(text.contains("\"batched_requests\":3"));
-    }
+    let trace =
+        serde_json::parse(&cbsp_trace::global().snapshot().to_json()).unwrap_or(Value::Null);
+    serde_json::to_string(&obj(vec![
+        ("serve", serve),
+        ("cache", Value::Object(cache)),
+        ("trace", trace),
+    ]))
+    .expect("metrics serialize")
 }

@@ -32,10 +32,11 @@
 //! `server.shutdown` and wait for the port to close.
 
 use crate::engine::{Engine, Reply, Work};
-use crate::metrics::ServeMetrics;
+use crate::metrics;
 use crate::protocol::{fault, ErrorCode, Fault};
 use cbsp_par::Pool;
 use cbsp_store::ArtifactStore;
+use cbsp_trace::Recorder;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -119,7 +120,9 @@ struct QueueState {
 pub(crate) struct ServerCore {
     pub cfg: ServeConfig,
     pub engine: Engine,
-    pub metrics: ServeMetrics,
+    /// Everything `/metrics` reports about this server (see
+    /// [`crate::metrics`]).
+    pub metrics: Recorder,
     state: Mutex<QueueState>,
     job_ready: Condvar,
     drained: Condvar,
@@ -191,14 +194,12 @@ impl ServerCore {
         if let Some(k) = &key {
             if let Some(waiters) = st.inflight.get_mut(k) {
                 waiters.push(tx);
-                self.metrics
-                    .singleflight_hits
-                    .fetch_add(1, Ordering::Relaxed);
+                self.metrics.add(metrics::SINGLEFLIGHT_HITS, 1);
                 return Ok(rx);
             }
         }
         if st.queue.len() + st.executing >= self.cfg.max_inflight {
-            self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
+            self.metrics.add(metrics::OVERLOADED, 1);
             return Err(fault(
                 ErrorCode::Overloaded,
                 format!(
@@ -230,7 +231,7 @@ impl ServerCore {
     /// single-flight entry.
     fn deliver(&self, job: Job, reply: Reply) {
         if matches!(&reply, Err((ErrorCode::Timeout, _))) {
-            self.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+            self.metrics.add(metrics::TIMEOUTS, 1);
         }
         match job.reply {
             ReplyTo::Direct(tx) => {
@@ -311,14 +312,16 @@ impl ServerCore {
 
     /// Executes one popped batch: times out stale jobs, fans the rest
     /// out on the pool, converts panics into `internal` replies so a
-    /// poisoned request can never take a worker down.
+    /// poisoned request can never take a worker down. The batch records
+    /// into its own recorder, folded into the server's (and, while
+    /// global tracing is on, the global one) before replies go out.
     fn execute_batch(&self, batch: Vec<Job>) {
         let now = Instant::now();
         let mut live = Vec::with_capacity(batch.len());
         for job in batch {
-            self.metrics.queue_wait_us.fetch_add(
+            self.metrics.add(
+                metrics::QUEUE_WAIT_US,
                 now.duration_since(job.enqueued).as_micros() as u64,
-                Ordering::Relaxed,
             );
             if now >= job.deadline {
                 self.deliver(job, Err(fault(ErrorCode::Timeout, "expired while queued")));
@@ -330,12 +333,19 @@ impl ServerCore {
             return;
         }
         if matches!(live[0].work, Work::Pipeline(_)) {
-            self.metrics.count_batch(live.len() as u64);
+            self.metrics.observe(metrics::BATCH_SIZE, live.len() as u64);
         }
-        let replies: Vec<Reply> = catch_unwind(AssertUnwindSafe(|| self.run_jobs(&live)))
-            .unwrap_or_else(|_| {
+        let recorder = Arc::new(Recorder::new());
+        let replies: Vec<Reply> = {
+            let _installed = recorder.install();
+            catch_unwind(AssertUnwindSafe(|| self.run_jobs(&live))).unwrap_or_else(|_| {
                 vec![Err(fault(ErrorCode::Internal, "execution panicked")); live.len()]
-            });
+            })
+        };
+        recorder.merge_totals_into(&self.metrics);
+        if cbsp_trace::enabled() {
+            recorder.merge_into(cbsp_trace::global());
+        }
         for (job, reply) in live.into_iter().zip(replies) {
             self.deliver(job, reply);
         }
@@ -397,7 +407,7 @@ impl Server {
         let workers = cfg.workers.max(1);
         let core = Arc::new(ServerCore {
             engine: Engine::new(Arc::new(store), threads),
-            metrics: ServeMetrics::default(),
+            metrics: Recorder::new(),
             cfg,
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),

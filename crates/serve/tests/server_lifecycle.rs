@@ -280,6 +280,41 @@ fn overload_is_rejected_with_typed_error() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A daemon started without tracing still reports its store and
+/// trace-cache hits. A second server over the first one's store starts
+/// with an empty result cache, so its `estimate.cpi` reaches the warm
+/// store; a new interval then needs fresh slices but reuses the
+/// recorded traces.
+#[test]
+fn untraced_daemon_counts_store_and_trace_cache_hits() {
+    let estimate = |interval: u64| {
+        format!(
+            r#"{{"id":{interval},"method":"estimate.cpi","params":{{"benchmark":"gzip","scale":"test","interval":{interval}}}}}"#
+        )
+    };
+    let (first, addr, dir) = start("warm-store", |_| {});
+    assert_ok(&one_shot(addr, &estimate(20_000)));
+    first.shutdown();
+    first.wait().expect("clean drain");
+
+    let (second, addr, _) = start("warm-store-reopened", |cfg| cfg.cache_dir = dir.clone());
+    assert_ok(&one_shot(addr, &estimate(20_000)));
+    assert_ok(&one_shot(addr, &estimate(10_000)));
+    let metrics = parse(&http_get(addr, "/metrics"));
+    let count = |path: &str| match field(&metrics, path) {
+        Value::UInt(n) => *n,
+        other => panic!("{path} not a count: {other:?}"),
+    };
+    assert_eq!(count("cache.result_hits"), 0, "not served from memory");
+    assert_eq!(count("cache.result_misses"), 2);
+    assert!(count("cache.store_hits") >= 1, "{metrics:?}");
+    assert!(count("cache.trace_hits") >= 1, "{metrics:?}");
+
+    second.shutdown();
+    second.wait().expect("clean drain");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn graceful_drain_completes_inflight_work() {
     let (server, addr, dir) = start("drain", |_| {});

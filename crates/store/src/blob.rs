@@ -323,10 +323,6 @@ pub fn derived_key(parent: &StageKey, label: &str, index: u64) -> StageKey {
     StageKey::parse(&to_hex(&h.finalize())).expect("sha256 hex is a valid key")
 }
 
-// The `cbsp-trace` counters are process-global. Every test here that
-// runs instrumented store or trace-cache code holds
-// `cbsp_trace::test_lock()` for its whole body, so no test adds to the
-// counters another one asserts exact values of.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,7 +341,6 @@ mod tests {
 
     #[test]
     fn blob_round_trips_and_is_idempotent() {
-        let _lock = cbsp_trace::test_lock();
         let (store, dir) = temp_store("roundtrip");
         let key = a_key(1);
         let meta = [1u8, 2, 3];
@@ -368,7 +363,6 @@ mod tests {
 
     #[test]
     fn clean_miss_is_none() {
-        let _lock = cbsp_trace::test_lock();
         let (store, dir) = temp_store("miss");
         assert_eq!(store.get_blob("trace", &a_key(2)).expect("no error"), None);
         let _ = std::fs::remove_dir_all(&dir);
@@ -376,7 +370,6 @@ mod tests {
 
     #[test]
     fn wrong_stage_and_version_are_typed() {
-        let _lock = cbsp_trace::test_lock();
         let (store, dir) = temp_store("stage");
         let key = a_key(3);
         store.put_blob("trace", &key, &[], b"xyz").expect("puts");
@@ -400,7 +393,6 @@ mod tests {
 
     #[test]
     fn truncation_and_corruption_are_typed_never_panics() {
-        let _lock = cbsp_trace::test_lock();
         let (store, dir) = temp_store("corrupt");
         let key = a_key(4);
         let payload: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
@@ -444,7 +436,6 @@ mod tests {
 
     #[test]
     fn failed_writes_leave_no_tmp_files() {
-        let _lock = cbsp_trace::test_lock();
         let (store, dir) = temp_store("tmp-cleanup");
         let key = a_key(6);
         // A non-empty directory squatting on each target path makes the

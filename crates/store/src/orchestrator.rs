@@ -436,7 +436,7 @@ impl StageHook for CacheHook<'_, '_> {
                 ("store/misses", "miss")
             };
             cbsp_trace::add(total, 1);
-            if cbsp_trace::enabled() {
+            if cbsp_trace::recording() {
                 cbsp_trace::add(&format!("store/{kind}/{}", stage.name()), 1);
             }
         }

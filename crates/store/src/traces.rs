@@ -784,10 +784,8 @@ fn replay_all_slices(
         .collect()
 }
 
-// The `cbsp-trace` counters are process-global. Every test here that
-// runs instrumented store or trace-cache code holds
-// `cbsp_trace::test_lock()` for its whole body, so no test adds to the
-// counters another one asserts exact values of.
+// Tests that assert counters record into a private `cbsp-trace`
+// recorder, so concurrently running tests cannot add to them.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -875,17 +873,16 @@ mod tests {
 
     #[test]
     fn memory_tier_records_once() {
-        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let cache = TraceCache::in_memory();
-        cbsp_trace::enable();
-        cbsp_trace::reset();
+        let recorder = Arc::new(cbsp_trace::Recorder::new());
+        let installed = recorder.install();
         let t1 = cache.get_or_record(&bin, &input).expect("records");
         let t2 = cache.get_or_record(&bin, &input).expect("hits");
         assert!(Arc::ptr_eq(&t1, &t2), "second call serves the same trace");
         let counters = cbsp_trace::snapshot().counters;
-        cbsp_trace::disable();
+        drop(installed);
         assert_eq!(counters.get("sim/trace_cache_misses"), Some(&1));
         assert_eq!(counters.get("sim/trace_cache_hits"), Some(&1));
         assert!(counters.get("sim/record_bytes").copied().unwrap_or(0) > 0);
@@ -893,7 +890,6 @@ mod tests {
 
     #[test]
     fn store_tier_serves_blob_hits_zero_decode() {
-        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (store, dir) = temp_store("persist");
@@ -907,11 +903,11 @@ mod tests {
 
         // A fresh cache (fresh process, conceptually) hits the store.
         let second = TraceCache::new(Some(&store));
-        cbsp_trace::enable();
-        cbsp_trace::reset();
+        let recorder = Arc::new(cbsp_trace::Recorder::new());
+        let installed = recorder.install();
         let t2 = second.get_or_record(&bin, &input).expect("store hit");
         let counters = cbsp_trace::snapshot().counters;
-        cbsp_trace::disable();
+        drop(installed);
         assert_eq!(*t1, *t2, "stored trace round-trips exactly");
         assert_eq!(counters.get("sim/trace_cache_hits"), Some(&1));
         assert_eq!(counters.get("sim/trace_cache_misses"), None);
@@ -928,7 +924,6 @@ mod tests {
 
     #[test]
     fn corrupt_stored_trace_blob_is_repaired() {
-        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (store, dir) = temp_store("repair");
@@ -952,7 +947,6 @@ mod tests {
 
     #[test]
     fn pool_fanout_records_each_binary_once() {
-        let _lock = cbsp_trace::test_lock();
         let prog = workloads::by_name("gzip")
             .expect("in suite")
             .build(Scale::Test);
@@ -977,7 +971,6 @@ mod tests {
 
     #[test]
     fn warm_slice_manifest_avoids_the_full_replay() {
-        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -985,8 +978,8 @@ mod tests {
         let config = MemoryConfig::table1();
         let cache = TraceCache::in_memory();
 
-        cbsp_trace::enable();
-        cbsp_trace::reset();
+        let recorder = Arc::new(cbsp_trace::Recorder::new());
+        let installed = recorder.install();
         let cold = cache
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("materializes");
@@ -995,7 +988,7 @@ mod tests {
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("memory hit");
         let warm_counters = cbsp_trace::snapshot().counters;
-        cbsp_trace::disable();
+        drop(installed);
 
         assert!(Arc::ptr_eq(&cold, &warm), "same manifest allocation");
         assert_eq!(cold_counters.get("sim/full_replay_avoided"), None);
@@ -1018,7 +1011,6 @@ mod tests {
 
     #[test]
     fn slice_manifest_persists_as_blobs_and_prefetches() {
-        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1043,13 +1035,13 @@ mod tests {
         // A fresh cache (fresh process, conceptually) loads the stored
         // manifest without touching the full trace.
         let second = TraceCache::new(Some(&store));
-        cbsp_trace::enable();
-        cbsp_trace::reset();
+        let recorder = Arc::new(cbsp_trace::Recorder::new());
+        let installed = recorder.install();
         let warm = second
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("store hit");
         let counters = cbsp_trace::snapshot().counters;
-        cbsp_trace::disable();
+        drop(installed);
 
         assert_eq!(*cold, *warm, "stored manifest round-trips exactly");
         assert_eq!(counters.get("sim/full_replay_avoided"), Some(&1));
@@ -1066,7 +1058,6 @@ mod tests {
 
     #[test]
     fn corrupt_slice_manifest_blob_is_repaired_as_a_miss() {
-        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1101,7 +1092,6 @@ mod tests {
 
     #[test]
     fn corrupt_per_slice_blob_is_repaired_as_a_miss() {
-        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1150,7 +1140,6 @@ mod tests {
     /// that records and slices afresh, and `gc` evicts the orphan.
     #[test]
     fn stale_envelopes_under_trace_keys_are_misses_that_gc_evicts() {
-        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1169,8 +1158,8 @@ mod tests {
             .expect("writes slice envelope");
 
         let cache = TraceCache::new(Some(&store));
-        cbsp_trace::enable();
-        cbsp_trace::reset();
+        let recorder = Arc::new(cbsp_trace::Recorder::new());
+        let installed = recorder.install();
         let trace = cache.get_or_record(&bin, &input).expect("records");
         let trace_counters = cbsp_trace::snapshot().counters;
         cbsp_trace::reset();
@@ -1178,7 +1167,7 @@ mod tests {
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("slices");
         let slice_counters = cbsp_trace::snapshot().counters;
-        cbsp_trace::disable();
+        drop(installed);
 
         assert_eq!(trace_counters.get("sim/trace_cache_misses"), Some(&1));
         assert_eq!(trace_counters.get("sim/trace_cache_hits"), None);
@@ -1212,7 +1201,6 @@ mod tests {
     /// same per-interval simulations.
     #[test]
     fn sliced_estimate_is_identical_cold_warm_and_across_threads() {
-        let _lock = cbsp_trace::test_lock();
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);

@@ -1,113 +1,409 @@
 //! # cbsp-trace — pipeline observability
 //!
 //! Zero-dependency (std-only) instrumentation layer for the CBSP
-//! pipeline: thread-safe span timers with hierarchical
-//! `stage/substage` names, monotonic counters, gauges, and two
+//! pipeline: span timers with hierarchical `stage/substage` names,
+//! monotonic counters, gauges and log-bucket histograms, with two
 //! exporters — Chrome trace-event JSON (loadable in `chrome://tracing`
 //! or Perfetto) and a flat machine-readable `metrics.json` snapshot.
 //!
+//! ## Recorders
+//!
+//! Everything is recorded into a [`Recorder`]. Instrumented code never
+//! names one: the free functions ([`span`], [`add`], [`gauge`], …)
+//! record into the recorder installed on the calling thread
+//! ([`Recorder::install`]), or into the process-global one ([`global`])
+//! when none is installed. The `cbsp-par` pool installs its caller's
+//! recorder in every scoped worker. A server keeps its own recorder and
+//! folds short-lived per-batch ones into it
+//! ([`Recorder::merge_totals_into`]); tests install private recorders
+//! and assert exact counts without serializing against each other.
+//!
 //! ## Overhead contract
 //!
-//! Tracing is **disabled by default**. Every instrumentation entry
-//! point ([`span`], [`add`], [`gauge`]) starts with a single relaxed
-//! atomic load; when tracing is disabled that is the *entire* cost —
-//! no allocation, no lock, no clock read. Instrumentation never
-//! branches on pipeline data, so enabling it cannot change any
-//! computed result: the 1-vs-8-thread byte-identical determinism
-//! guarantees hold with tracing on or off.
+//! The global recorder is **disabled by default** ([`enable`]). Every
+//! instrumentation entry point starts with two relaxed atomic loads —
+//! is a recorder installed on any thread, is the global one enabled —
+//! and when both are false that is the *entire* cost: no allocation,
+//! no lock, no clock read. An installed recorder always records.
+//! Instrumentation never branches on pipeline data, so recording cannot
+//! change any computed result: the 1-vs-8-thread byte-identical
+//! determinism guarantees hold with tracing on or off.
 //!
 //! ## Model
 //!
-//! - **Spans** measure wall-clock duration of a named scope. A span is
-//!   recorded when its guard drops, tagged with a small sequential id
-//!   for the recording thread. Names are `'static` hierarchical paths
-//!   (`"stage/profile"`, `"pool/job"`); an optional per-instance label
-//!   carries dynamic context (a binary name, a store stage key).
-//! - **Counters** are monotonic `u64` sums merged under one lock;
-//!   concurrent increments from pool workers are safe and total
-//!   correctly (see the counter-merge tests in `cbsp-par`).
+//! - **Spans** measure wall-clock duration of a named scope, recorded
+//!   when the guard drops into the recorder current at its start, and
+//!   tagged with a small sequential id for the recording thread. Names
+//!   are `'static` paths (`"stage/profile"`); an optional label carries
+//!   dynamic context (a binary name, a store stage key).
+//! - **Counters** are monotonic `u64` sums; concurrent increments from
+//!   pool workers total correctly.
 //! - **Gauges** are last-write-wins `f64` observations.
+//! - **Histograms** ([`Histogram`]) count `u64` samples in power-of-two
+//!   buckets, with an exact sum and maximum.
 //!
-//! ## Exporters
-//!
-//! [`chrome_trace_json`] emits `{"traceEvents": [...]}` with complete
-//! (`"ph": "X"`) events in microseconds relative to the collector
-//! epoch. [`metrics_json`] emits `{schema, counters, gauges, spans}`
-//! where `spans` aggregates per-name `{count, total_ns}`. Both are
-//! plain strings; callers decide where to write them.
+//! [`chrome_trace_json`] emits complete (`"ph": "X"`) events in
+//! microseconds relative to the recorder epoch; [`metrics_json`] emits
+//! `{schema, counters, gauges, spans}` where `spans` aggregates
+//! per-name `{count, total_ns}`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// Global on/off switch. One relaxed load on every instrumentation
-/// call; everything else is behind it.
+/// On/off switch of the process-global recorder.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Returns whether tracing is currently enabled.
-///
-/// Use this to skip *preparing* expensive span labels; the
-/// instrumentation entry points all perform this check themselves.
-#[inline]
+/// Installed-recorder guards alive on any thread; while zero, no
+/// thread-local lookup happens at all. Relaxed suffices: a thread only
+/// ever reads its own installs through it.
+static INSTALLED: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static CURRENT: RefCell<Option<Arc<Recorder>>> = const { RefCell::new(None) };
+}
+
+/// Returns whether the process-global recorder is enabled.
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns tracing on. Events recorded after this call are kept until
-/// [`reset`].
+/// Returns whether instrumentation on the calling thread records: a
+/// recorder is installed here, or the global one is enabled. Use this
+/// to skip *preparing* expensive labels or clock readings.
+#[inline]
+pub fn recording() -> bool {
+    current().is_some() || enabled()
+}
+
+/// Turns the global recorder on. Events recorded after this call are
+/// kept until [`reset`].
 pub fn enable() {
-    state(); // materialize the collector (and its epoch) eagerly
+    global(); // materialize the recorder (and its epoch) eagerly
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turns tracing off. Already-recorded data is retained and still
-/// exportable; in-flight span guards created while enabled will still
-/// record on drop.
+/// Turns the global recorder off. Already-recorded data is retained
+/// and still exportable; in-flight span guards created while enabled
+/// will still record on drop.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Clears all recorded events, counters and gauges, and restarts the
-/// trace epoch. Does not change the enabled flag.
+/// The process-global recorder.
+pub fn global() -> &'static Recorder {
+    static GLOBAL: OnceLock<Recorder> = OnceLock::new();
+    GLOBAL.get_or_init(Recorder::new)
+}
+
+/// The recorder installed on the calling thread, if any.
+#[inline]
+pub fn current() -> Option<Arc<Recorder>> {
+    if INSTALLED.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Runs `f` on the recorder instrumentation writes to right now, if
+/// anything records.
+#[inline]
+fn with_target(f: impl FnOnce(&Recorder)) {
+    match current() {
+        Some(rec) => f(&rec),
+        None if enabled() => f(global()),
+        None => {}
+    }
+}
+
+/// Runs `f` on the installed recorder, or on the global one.
+fn with_current<R>(f: impl FnOnce(&Recorder) -> R) -> R {
+    match current() {
+        Some(rec) => f(&rec),
+        None => f(global()),
+    }
+}
+
+/// Clears the current recorder (installed, else global) and restarts
+/// its epoch. Does not change the enabled flag.
 pub fn reset() {
-    let st = state();
-    st.events.lock().expect("trace events lock").clear();
-    st.counters.lock().expect("trace counters lock").clear();
-    st.gauges.lock().expect("trace gauges lock").clear();
-    *st.epoch.lock().expect("trace epoch lock") = Instant::now();
+    with_current(Recorder::reset);
 }
 
 /// One completed span occurrence.
+#[derive(Clone)]
 struct Event {
     name: &'static str,
     label: Option<String>,
     tid: u64,
-    start_ns: u64,
+    start: Instant,
     dur_ns: u64,
 }
 
-/// The global collector. Lives behind a `OnceLock`; all mutation is
-/// mutex-guarded so recording is safe from any pool worker.
-struct State {
-    epoch: Mutex<Instant>,
-    events: Mutex<Vec<Event>>,
-    counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, f64>>,
+/// Everything one recorder holds, behind its one lock.
+struct Data {
+    epoch: Instant,
+    events: Vec<Event>,
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
+    histograms: BTreeMap<String, Histogram>,
 }
 
-fn state() -> &'static State {
-    static STATE: OnceLock<State> = OnceLock::new();
-    STATE.get_or_init(|| State {
-        epoch: Mutex::new(Instant::now()),
-        events: Mutex::new(Vec::new()),
-        counters: Mutex::new(BTreeMap::new()),
-        gauges: Mutex::new(BTreeMap::new()),
-    })
+impl Data {
+    fn new() -> Data {
+        Data {
+            epoch: Instant::now(),
+            events: Vec::new(),
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+        }
+    }
+
+    fn add(&mut self, name: &str, delta: u64) {
+        match self.counters.get_mut(name) {
+            Some(v) => *v = v.saturating_add(delta),
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
+    }
+}
+
+/// A set of spans, counters, gauges and histograms, safe to share
+/// across threads.
+pub struct Recorder(Mutex<Data>);
+
+impl Default for Recorder {
+    fn default() -> Self {
+        Recorder::new()
+    }
+}
+
+/// Guard returned by [`Recorder::install`]; restores the previously
+/// installed recorder when dropped, on the thread that installed it.
+#[must_use = "the recorder is uninstalled when this guard drops"]
+pub struct Installed {
+    prev: Option<Arc<Recorder>>,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for Installed {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        let _ = CURRENT.try_with(|c| *c.borrow_mut() = prev);
+        INSTALLED.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+impl Recorder {
+    /// An empty recorder whose epoch is now.
+    pub fn new() -> Recorder {
+        Recorder(Mutex::new(Data::new()))
+    }
+
+    fn data(&self) -> MutexGuard<'_, Data> {
+        self.0.lock().expect("trace recorder lock")
+    }
+
+    /// Makes this the calling thread's recorder until the guard drops:
+    /// the free instrumentation functions record here, whatever the
+    /// global enabled flag says. Installs nest.
+    pub fn install(self: &Arc<Self>) -> Installed {
+        INSTALLED.fetch_add(1, Ordering::Relaxed);
+        let prev = CURRENT.with(|c| c.replace(Some(Arc::clone(self))));
+        Installed {
+            prev,
+            _not_send: PhantomData,
+        }
+    }
+
+    /// Adds `delta` to the named monotonic counter.
+    pub fn add(&self, name: &str, delta: u64) {
+        self.data().add(name, delta);
+    }
+
+    fn gauge(&self, name: &str, value: f64) {
+        self.data().gauges.insert(name.to_string(), value);
+    }
+
+    /// Records one sample in the named histogram.
+    pub fn observe(&self, name: &str, value: u64) {
+        let mut data = self.data();
+        data.histograms
+            .entry(name.to_string())
+            .or_default()
+            .record(value);
+    }
+
+    /// A copy of the named histogram (empty when never observed).
+    pub fn histogram(&self, name: &str) -> Histogram {
+        let data = self.data();
+        data.histograms.get(name).copied().unwrap_or_default()
+    }
+
+    /// Clears everything recorded and restarts the epoch.
+    pub fn reset(&self) {
+        *self.data() = Data::new();
+    }
+
+    /// Adds this recorder's counters and histogram samples to `dst`.
+    pub fn merge_totals_into(&self, dst: &Recorder) {
+        let (src, mut dst) = (self.data(), dst.data());
+        for (name, &v) in &src.counters {
+            dst.add(name, v);
+        }
+        for (name, h) in &src.histograms {
+            dst.histograms.entry(name.clone()).or_default().merge(h);
+        }
+    }
+
+    /// Adds everything this recorder holds to `dst`: counters and
+    /// histograms, gauges (last write wins), and span events.
+    pub fn merge_into(&self, dst: &Recorder) {
+        self.merge_totals_into(dst);
+        let (src, mut dst) = (self.data(), dst.data());
+        dst.gauges.extend(src.gauges.clone());
+        dst.events.extend(src.events.iter().cloned());
+    }
+
+    /// Counters, gauges and per-name span totals.
+    pub fn snapshot(&self) -> Snapshot {
+        let data = self.data();
+        let mut spans: BTreeMap<String, SpanTotal> = BTreeMap::new();
+        for ev in &data.events {
+            let slot = spans.entry(ev.name.to_string()).or_default();
+            slot.count += 1;
+            slot.total_ns = slot.total_ns.saturating_add(ev.dur_ns);
+        }
+        Snapshot {
+            counters: data.counters.clone(),
+            gauges: data.gauges.clone(),
+            spans,
+        }
+    }
+
+    /// This recorder's spans as a Chrome trace-event document (see
+    /// [`chrome_trace_json`]).
+    fn chrome_trace_json(&self) -> String {
+        let data = self.data();
+        // A span that started before a reset() moved the epoch is
+        // clamped to the epoch.
+        let start_ns =
+            |ev: &Event| saturating_ns(ev.start.saturating_duration_since(data.epoch).as_nanos());
+        let mut events: Vec<&Event> = data.events.iter().collect();
+        events.sort_by_key(|ev| (start_ns(ev), ev.tid));
+
+        let mut out = String::with_capacity(256 + events.len() * 128);
+        out.push_str("{\"traceEvents\":[");
+        out.push_str(
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+             \"args\":{\"name\":\"cbsp\"}}",
+        );
+        for ev in events {
+            out.push(',');
+            out.push_str("{\"name\":");
+            push_str_value(&mut out, ev.name);
+            out.push_str(",\"cat\":\"cbsp\",\"ph\":\"X\",\"pid\":1,\"tid\":");
+            let _ = write!(out, "{}", ev.tid);
+            out.push_str(",\"ts\":");
+            push_f64(&mut out, start_ns(ev) as f64 / 1000.0);
+            out.push_str(",\"dur\":");
+            push_f64(&mut out, ev.dur_ns as f64 / 1000.0);
+            if let Some(label) = &ev.label {
+                out.push_str(",\"args\":{\"label\":");
+                push_str_value(&mut out, label);
+                out.push('}');
+            }
+            out.push('}');
+        }
+        out.push_str("],\"displayTimeUnit\":\"ms\"}");
+        out
+    }
+}
+
+/// Number of power-of-two buckets: bucket `i` counts samples in
+/// `[2^i, 2^(i+1))`.
+const BUCKETS: usize = 36;
+
+/// A power-of-two histogram of `u64` samples, with an exact count, sum
+/// and maximum. Quantile estimates return the upper bound of the
+/// containing bucket, i.e. they are conservative to within a factor of
+/// two — plenty for the "did p95 regress 10x" question latency
+/// histograms exist to answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Histogram {
+    buckets: [u64; BUCKETS],
+    sum: u64,
+    max: u64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            buckets: [0; BUCKETS],
+            sum: 0,
+            max: 0,
+        }
+    }
+}
+
+impl Histogram {
+    /// Records one sample.
+    pub fn record(&mut self, value: u64) {
+        let idx = (63 - u64::leading_zeros(value.max(1)) as usize).min(BUCKETS - 1);
+        self.buckets[idx] += 1;
+        self.sum = self.sum.saturating_add(value);
+        self.max = self.max.max(value);
+    }
+
+    fn merge(&mut self, other: &Histogram) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Number of samples.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().sum()
+    }
+
+    /// Sum of all samples.
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Largest sample (0 when empty).
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
+    /// Upper bound of the bucket holding the `q`-quantile
+    /// (`0.0..=1.0`), or 0 when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        let total = self.count();
+        if total == 0 {
+            return 0;
+        }
+        let rank = ((total as f64) * q).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, b) in self.buckets.iter().enumerate() {
+            seen += b;
+            if seen >= rank {
+                return 1u64 << (i + 1);
+            }
+        }
+        1u64 << BUCKETS
+    }
 }
 
 /// Small sequential id for the calling thread (1, 2, 3, ... in first
@@ -122,13 +418,15 @@ fn thread_tag() -> u64 {
 }
 
 /// RAII span guard: records a completed event when dropped. A no-op
-/// (and allocation-free) when tracing was disabled at creation.
+/// (and allocation-free) when nothing recorded at its start.
 #[must_use = "a span measures the scope it lives in; binding it to _ drops it immediately"]
 pub struct Span {
     rec: Option<SpanRec>,
 }
 
 struct SpanRec {
+    /// The installed recorder at creation; `None` means the global one.
+    into: Option<Arc<Recorder>>,
     name: &'static str,
     label: Option<String>,
     start: Instant,
@@ -138,29 +436,27 @@ struct SpanRec {
 /// `"stage/simpoint"`.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    if !enabled() {
-        return Span { rec: None };
-    }
-    Span {
-        rec: Some(SpanRec {
-            name,
-            label: None,
-            start: Instant::now(),
-        }),
-    }
+    span_with(name, None::<fn() -> String>)
 }
 
 /// Starts a span with a dynamic label. The label closure only runs
-/// when tracing is enabled, so formatting costs nothing when off.
+/// when something records, so formatting costs nothing when off.
 #[inline]
 pub fn span_labeled<F: FnOnce() -> String>(name: &'static str, label: F) -> Span {
-    if !enabled() {
+    span_with(name, Some(label))
+}
+
+#[inline]
+fn span_with<F: FnOnce() -> String>(name: &'static str, label: Option<F>) -> Span {
+    let into = current();
+    if into.is_none() && !enabled() {
         return Span { rec: None };
     }
     Span {
         rec: Some(SpanRec {
+            into,
             name,
-            label: Some(label()),
+            label: label.map(|f| f()),
             start: Instant::now(),
         }),
     }
@@ -169,19 +465,18 @@ pub fn span_labeled<F: FnOnce() -> String>(name: &'static str, label: F) -> Span
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(rec) = self.rec.take() else { return };
-        let dur_ns = saturating_ns(rec.start.elapsed().as_nanos());
-        let st = state();
-        let epoch = *st.epoch.lock().expect("trace epoch lock");
-        // `duration_since` saturates to zero if a reset() moved the
-        // epoch past this span's start.
-        let start_ns = saturating_ns(rec.start.duration_since(epoch).as_nanos());
-        st.events.lock().expect("trace events lock").push(Event {
+        let event = Event {
             name: rec.name,
             label: rec.label,
             tid: thread_tag(),
-            start_ns,
-            dur_ns,
-        });
+            start: rec.start,
+            dur_ns: saturating_ns(rec.start.elapsed().as_nanos()),
+        };
+        let recorder = rec.into.as_deref().unwrap_or_else(|| global());
+        // A poisoned lock drops the event rather than panic in drop.
+        if let Ok(mut data) = recorder.0.lock() {
+            data.events.push(event);
+        };
     }
 }
 
@@ -189,37 +484,24 @@ fn saturating_ns(ns: u128) -> u64 {
     u64::try_from(ns).unwrap_or(u64::MAX)
 }
 
-/// Adds `delta` to the named monotonic counter. No-op when tracing is
-/// disabled or `delta` is zero.
+/// Adds `delta` to the named monotonic counter. No-op when nothing
+/// records or `delta` is zero.
 #[inline]
 pub fn add(name: &str, delta: u64) {
-    if !enabled() || delta == 0 {
-        return;
-    }
-    let mut counters = state().counters.lock().expect("trace counters lock");
-    match counters.get_mut(name) {
-        Some(v) => *v = v.saturating_add(delta),
-        None => {
-            counters.insert(name.to_string(), delta);
-        }
+    if delta != 0 {
+        with_target(|r| r.add(name, delta));
     }
 }
 
-/// Records a last-write-wins gauge observation. No-op when disabled.
+/// Records a last-write-wins gauge observation. No-op when nothing
+/// records.
 #[inline]
 pub fn gauge(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    state()
-        .gauges
-        .lock()
-        .expect("trace gauges lock")
-        .insert(name.to_string(), value);
+    with_target(|r| r.gauge(name, value));
 }
 
 /// Aggregate of all occurrences of one span name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanTotal {
     /// Number of recorded occurrences.
     pub count: u64,
@@ -227,7 +509,7 @@ pub struct SpanTotal {
     pub total_ns: u64,
 }
 
-/// Point-in-time copy of the collector's aggregates, in plain
+/// Point-in-time copy of a recorder's aggregates, in plain
 /// `BTreeMap`s so downstream crates can embed them with whatever
 /// serializer they use.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -240,25 +522,9 @@ pub struct Snapshot {
     pub spans: BTreeMap<String, SpanTotal>,
 }
 
-/// Takes a snapshot of current counters, gauges, and span totals.
+/// Snapshot of the current recorder (installed, else global).
 pub fn snapshot() -> Snapshot {
-    let st = state();
-    let counters = st.counters.lock().expect("trace counters lock").clone();
-    let gauges = st.gauges.lock().expect("trace gauges lock").clone();
-    let mut spans: BTreeMap<String, SpanTotal> = BTreeMap::new();
-    for ev in st.events.lock().expect("trace events lock").iter() {
-        let slot = spans.entry(ev.name.to_string()).or_insert(SpanTotal {
-            count: 0,
-            total_ns: 0,
-        });
-        slot.count += 1;
-        slot.total_ns = slot.total_ns.saturating_add(ev.dur_ns);
-    }
-    Snapshot {
-        counters,
-        gauges,
-        spans,
-    }
+    with_current(Recorder::snapshot)
 }
 
 // ---------------------------------------------------------------------
@@ -300,48 +566,19 @@ fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Renders all recorded spans as a Chrome trace-event JSON document:
-/// `{"traceEvents": [...], "displayTimeUnit": "ms"}` with complete
-/// (`"ph": "X"`) events, timestamps in microseconds since the trace
-/// epoch. Load the output in `chrome://tracing` or
-/// <https://ui.perfetto.dev>.
+/// Renders the current recorder's spans (installed, else global) as a
+/// Chrome trace-event JSON document: `{"traceEvents": [...],
+/// "displayTimeUnit": "ms"}` with complete (`"ph": "X"`) events,
+/// timestamps in microseconds since the recorder epoch. Load the
+/// output in `chrome://tracing` or <https://ui.perfetto.dev>.
 pub fn chrome_trace_json() -> String {
-    let st = state();
-    let events = st.events.lock().expect("trace events lock");
-    let mut indices: Vec<usize> = (0..events.len()).collect();
-    indices.sort_by_key(|&i| (events[i].start_ns, events[i].tid));
-
-    let mut out = String::with_capacity(256 + events.len() * 128);
-    out.push_str("{\"traceEvents\":[");
-    out.push_str(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"cbsp\"}}",
-    );
-    for &i in &indices {
-        let ev = &events[i];
-        out.push(',');
-        out.push_str("{\"name\":");
-        push_str_value(&mut out, ev.name);
-        out.push_str(",\"cat\":\"cbsp\",\"ph\":\"X\",\"pid\":1,\"tid\":");
-        let _ = write!(out, "{}", ev.tid);
-        out.push_str(",\"ts\":");
-        push_f64(&mut out, ev.start_ns as f64 / 1000.0);
-        out.push_str(",\"dur\":");
-        push_f64(&mut out, ev.dur_ns as f64 / 1000.0);
-        if let Some(label) = &ev.label {
-            out.push_str(",\"args\":{\"label\":");
-            push_str_value(&mut out, label);
-            out.push('}');
-        }
-        out.push('}');
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    with_current(Recorder::chrome_trace_json)
 }
 
-/// Renders the current [`Snapshot`] as flat machine-readable JSON:
-/// `{"schema": 1, "counters": {...}, "gauges": {...}, "spans":
-/// {"name": {"count": n, "total_ns": n}, ...}}`.
+/// Renders the current recorder's [`Snapshot`] (installed, else
+/// global) as flat machine-readable JSON: `{"schema": 1, "counters":
+/// {...}, "gauges": {...}, "spans": {"name": {"count": n, "total_ns":
+/// n}, ...}}`.
 pub fn metrics_json() -> String {
     snapshot().to_json()
 }
@@ -384,26 +621,26 @@ impl Snapshot {
     }
 }
 
-/// Guard + helpers for tests that manipulate the global collector.
-///
-/// The collector is process-global, and Rust runs `#[test]`s in one
-/// binary concurrently; tests that enable/reset tracing must hold this
-/// lock for their whole body or they will observe each other's events.
-/// Poisoning is ignored: a failed test must not cascade.
-pub fn test_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs `f` with a fresh private recorder installed and returns the
+    /// recorder.
+    fn recorded(f: impl FnOnce()) -> Arc<Recorder> {
+        let rec = Arc::new(Recorder::new());
+        {
+            let _installed = rec.install();
+            f();
+        }
+        rec
+    }
+
     #[test]
     fn disabled_is_inert_and_allocation_free() {
-        let _guard = test_lock();
-        disable();
-        reset();
+        // No test in this binary enables the global recorder, and
+        // nothing is installed on this thread.
+        assert!(!enabled() && current().is_none());
         {
             let s = span("stage/test");
             assert!(s.rec.is_none(), "no record captured while disabled");
@@ -411,27 +648,22 @@ mod tests {
         let _ = span_labeled("stage/test", || unreachable!("label closure must not run"));
         add("counter/test", 5);
         gauge("gauge/test", 1.5);
-        let snap = snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.gauges.is_empty());
-        assert!(snap.spans.is_empty());
+        assert!(!recording());
+        assert_eq!(global().snapshot(), Snapshot::default());
     }
 
     #[test]
     fn records_spans_counters_gauges() {
-        let _guard = test_lock();
-        enable();
-        reset();
-        {
-            let _outer = span("stage/outer");
-            let _inner = span_labeled("stage/inner", || "gcc".to_string());
-        }
-        add("pipeline/intervals_produced", 7);
-        add("pipeline/intervals_produced", 3);
-        gauge("pipeline/dims", 15.0);
-        let snap = snapshot();
-        disable();
-        reset();
+        let snap = recorded(|| {
+            {
+                let _outer = span("stage/outer");
+                let _inner = span_labeled("stage/inner", || "gcc".to_string());
+            }
+            add("pipeline/intervals_produced", 7);
+            add("pipeline/intervals_produced", 3);
+            gauge("pipeline/dims", 15.0);
+        })
+        .snapshot();
         assert_eq!(snap.counters["pipeline/intervals_produced"], 10);
         assert_eq!(snap.gauges["pipeline/dims"], 15.0);
         assert_eq!(snap.spans["stage/outer"].count, 1);
@@ -442,13 +674,7 @@ mod tests {
 
     #[test]
     fn zero_delta_add_does_not_create_counter() {
-        let _guard = test_lock();
-        enable();
-        reset();
-        add("counter/zero", 0);
-        let snap = snapshot();
-        disable();
-        reset();
+        let snap = recorded(|| add("counter/zero", 0)).snapshot();
         assert!(!snap.counters.contains_key("counter/zero"));
     }
 
@@ -474,15 +700,13 @@ mod tests {
 
     #[test]
     fn chrome_trace_shape_is_stable() {
-        let _guard = test_lock();
-        enable();
-        reset();
-        {
+        let rec = recorded(|| {
             let _s = span_labeled("stage/compile", || "O0".to_string());
-        }
-        let json = chrome_trace_json();
-        disable();
-        reset();
+        });
+        let json = {
+            let _installed = rec.install();
+            chrome_trace_json()
+        };
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"stage/compile\""));
         assert!(json.contains("\"ph\":\"X\""));
@@ -492,17 +716,12 @@ mod tests {
 
     #[test]
     fn metrics_json_shape_is_stable() {
-        let _guard = test_lock();
-        enable();
-        reset();
-        add("store/hits", 2);
-        gauge("pool/threads", 8.0);
-        {
+        let rec = recorded(|| {
+            add("store/hits", 2);
+            gauge("pool/threads", 8.0);
             let _s = span("stage/map");
-        }
-        let json = metrics_json();
-        disable();
-        reset();
+        });
+        let json = rec.snapshot().to_json();
         assert!(json.starts_with("{\"schema\":1,\"counters\":{"));
         assert!(json.contains("\"store/hits\":2"));
         assert!(json.contains("\"pool/threads\":8.0"));
@@ -511,38 +730,114 @@ mod tests {
 
     #[test]
     fn concurrent_counter_adds_merge_exactly() {
-        let _guard = test_lock();
-        enable();
-        reset();
+        let rec = Arc::new(Recorder::new());
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                scope.spawn(|| {
+                let rec = &rec;
+                scope.spawn(move || {
+                    let _installed = rec.install();
                     for _ in 0..1000 {
                         add("test/merge", 1);
                     }
                 });
             }
         });
-        let snap = snapshot();
-        disable();
-        reset();
-        assert_eq!(snap.counters["test/merge"], 8000);
+        assert_eq!(rec.snapshot().counters["test/merge"], 8000);
     }
 
     #[test]
     fn reset_restarts_epoch_and_clears() {
-        let _guard = test_lock();
-        enable();
-        reset();
-        add("a", 1);
-        {
-            let _s = span("b");
-        }
-        reset();
-        let snap = snapshot();
-        disable();
-        reset();
+        let rec = recorded(|| {
+            add("a", 1);
+            {
+                let _s = span("b");
+            }
+            reset();
+        });
+        let snap = rec.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.spans.is_empty());
+    }
+
+    #[test]
+    fn installs_nest_and_restore() {
+        let outer = Arc::new(Recorder::new());
+        let inner = Arc::new(Recorder::new());
+        {
+            let _o = outer.install();
+            add("x", 1);
+            {
+                let _i = inner.install();
+                add("x", 10);
+                let _s = span("held/across/uninstall");
+            }
+            add("x", 100);
+        }
+        assert!(current().is_none());
+        assert_eq!(outer.snapshot().counters["x"], 101);
+        assert_eq!(inner.snapshot().counters["x"], 10);
+        // The span recorded into the recorder current at its start.
+        assert_eq!(inner.snapshot().spans["held/across/uninstall"].count, 1);
+        assert!(outer.snapshot().spans.is_empty());
+    }
+
+    #[test]
+    fn merges_fold_totals_or_everything() {
+        let batch = recorded(|| {
+            add("store/hits", 2);
+            gauge("pool/threads", 4.0);
+            let _s = span("stage/map");
+        });
+        batch.observe("latency", 1_000);
+        let totals = Recorder::new();
+        batch.merge_totals_into(&totals);
+        batch.merge_totals_into(&totals);
+        let snap = totals.snapshot();
+        assert_eq!(snap.counters["store/hits"], 4);
+        assert!(snap.gauges.is_empty() && snap.spans.is_empty());
+        assert_eq!(totals.histogram("latency").count(), 2);
+
+        let all = Recorder::new();
+        batch.merge_into(&all);
+        let snap = all.snapshot();
+        assert_eq!(snap.counters["store/hits"], 2);
+        assert_eq!(snap.gauges["pool/threads"], 4.0);
+        assert_eq!(snap.spans["stage/map"].count, 1);
+    }
+
+    #[test]
+    fn histogram_quantiles_bracket_samples() {
+        let mut h = Histogram::default();
+        for _ in 0..99 {
+            h.record(1_000); // ~1 ms in µs
+        }
+        h.record(1_000_000); // ~1 s straggler
+        assert_eq!(h.count(), 100);
+        assert_eq!(h.sum(), 99 * 1_000 + 1_000_000);
+        assert_eq!(h.max(), 1_000_000);
+        let p50 = h.quantile(0.50);
+        assert!((1_000..=2_048).contains(&p50), "p50 = {p50}");
+        let p95 = h.quantile(0.95);
+        assert!(p95 <= 2_048, "p95 = {p95}");
+        let p100 = h.quantile(1.0);
+        assert!(p100 >= 1_000_000, "p100 = {p100}");
+    }
+
+    #[test]
+    fn empty_histogram_is_zero() {
+        let h = Histogram::default();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.quantile(0.95), 0);
+        assert_eq!(h.max(), 0);
+    }
+
+    #[test]
+    fn histogram_max_and_sum_are_exact() {
+        let rec = Recorder::new();
+        for n in [3, 1, 7, 2] {
+            rec.observe("batch", n);
+        }
+        let h = rec.histogram("batch");
+        assert_eq!((h.count(), h.sum(), h.max), (4, 13, 7));
     }
 }

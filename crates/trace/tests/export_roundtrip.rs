@@ -3,6 +3,7 @@
 //! must reconstruct the snapshot exactly.
 
 use serde_json::Value;
+use std::sync::Arc;
 
 fn get<'a>(v: &'a Value, key: &str) -> &'a Value {
     let pairs = v.as_object().expect("object");
@@ -20,9 +21,11 @@ fn as_u64(v: &Value) -> u64 {
     }
 }
 
-fn populate() -> cbsp_trace::Snapshot {
-    cbsp_trace::enable();
-    cbsp_trace::reset();
+/// Records a fixed workload into a private recorder and returns its
+/// snapshot plus both exports, all taken through the free functions.
+fn populate() -> (cbsp_trace::Snapshot, String, String) {
+    let recorder = Arc::new(cbsp_trace::Recorder::new());
+    let _installed = recorder.install();
     {
         let _compile = cbsp_trace::span_labeled("stage/compile", || "gcc \"quoted\\path\"".into());
         let _inner = cbsp_trace::span("pool/job");
@@ -35,16 +38,16 @@ fn populate() -> cbsp_trace::Snapshot {
     cbsp_trace::add("pool/queue_wait_ns", 12_345);
     cbsp_trace::gauge("pool/threads", 8.0);
     cbsp_trace::gauge("pipeline/ratio", 0.625);
-    cbsp_trace::snapshot()
+    (
+        cbsp_trace::snapshot(),
+        cbsp_trace::metrics_json(),
+        cbsp_trace::chrome_trace_json(),
+    )
 }
 
 #[test]
 fn metrics_json_round_trips_through_parser() {
-    let _guard = cbsp_trace::test_lock();
-    let snap = populate();
-    let json = cbsp_trace::metrics_json();
-    cbsp_trace::disable();
-    cbsp_trace::reset();
+    let (snap, json, _) = populate();
 
     let doc = serde_json::parse(&json).expect("metrics.json must be valid JSON");
     assert_eq!(as_u64(get(&doc, "schema")), 1);
@@ -83,11 +86,7 @@ fn metrics_json_round_trips_through_parser() {
 
 #[test]
 fn chrome_trace_round_trips_through_parser() {
-    let _guard = cbsp_trace::test_lock();
-    let snap = populate();
-    let json = cbsp_trace::chrome_trace_json();
-    cbsp_trace::disable();
-    cbsp_trace::reset();
+    let (snap, _, json) = populate();
 
     let doc = serde_json::parse(&json).expect("chrome trace must be valid JSON");
     let events = get(&doc, "traceEvents").as_array().unwrap();

@@ -1,16 +1,20 @@
-//! Observability must be a pure observer: enabling the `cbsp-trace`
-//! collector must not change a single output byte, at any thread
-//! count.
+//! Observability must be a pure observer: recording with `cbsp-trace`
+//! — into the global recorder or a scoped one — must not change a
+//! single output byte, at any thread count.
 //!
 //! The pipeline's parallelism contract is byte-identical results at
 //! 1 vs N threads (see `threads_determinism.rs`). Instrumentation
 //! reads clocks and bumps counters on those same code paths, so this
 //! test closes the remaining loophole: the serialized
 //! [`CrossBinaryResult`] is compared across the full
-//! {tracing off, tracing on} × {1 thread, 8 threads} matrix.
+//! {tracing off, tracing on} × {1 thread, 8 threads} matrix, where
+//! "on" is run twice: once into the enabled global recorder and once
+//! into an installed private recorder.
 
+use cbsp_trace::{Recorder, Snapshot};
 use cross_binary_simpoints::core::CrossBinaryResult;
 use cross_binary_simpoints::prelude::*;
+use std::sync::Arc;
 
 fn run_at(name: &str, threads: usize) -> CrossBinaryResult {
     let program = workloads::by_name(name)
@@ -37,28 +41,45 @@ fn run_at(name: &str, threads: usize) -> CrossBinaryResult {
     .expect("pipeline succeeds on same-program binaries")
 }
 
+/// Where a run's instrumentation records.
+#[derive(Debug, Clone, Copy)]
+enum Tracing {
+    Off,
+    Global,
+    Scoped,
+}
+
+/// Runs the pipeline with instrumentation recording as `tracing` says
+/// and returns the result with what a scoped recorder collected.
+fn run_traced(name: &str, threads: usize, tracing: Tracing) -> (CrossBinaryResult, Snapshot) {
+    let recorder = Arc::new(Recorder::new());
+    let result = match tracing {
+        Tracing::Off => run_at(name, threads),
+        Tracing::Global => {
+            cbsp_trace::enable();
+            let result = run_at(name, threads);
+            cbsp_trace::disable();
+            result
+        }
+        Tracing::Scoped => {
+            let _installed = recorder.install();
+            run_at(name, threads)
+        }
+    };
+    (result, recorder.snapshot())
+}
+
 #[test]
 fn tracing_does_not_change_pipeline_output() {
-    // The collector is process-global; serialize against other tests.
-    let _guard = cbsp_trace::test_lock();
-
     for name in ["gzip", "mcf"] {
         let mut outputs: Vec<(String, String)> = Vec::new();
-        for tracing in [false, true] {
+        for tracing in [Tracing::Off, Tracing::Global, Tracing::Scoped] {
             for threads in [1usize, 8] {
-                cbsp_trace::reset();
-                if tracing {
-                    cbsp_trace::enable();
-                } else {
-                    cbsp_trace::disable();
-                }
-                let result = run_at(name, threads);
+                let (result, _) = run_traced(name, threads, tracing);
                 let json = serde_json::to_string(&result).expect("serializes");
-                outputs.push((format!("tracing={tracing} threads={threads}"), json));
+                outputs.push((format!("tracing={tracing:?} threads={threads}"), json));
             }
         }
-        cbsp_trace::disable();
-        cbsp_trace::reset();
 
         let (base_label, base_json) = &outputs[0];
         for (label, json) in &outputs[1..] {
@@ -75,13 +96,7 @@ fn tracing_actually_collects_while_staying_pure() {
     // Guard against the trivial way to pass the test above: tracing
     // that never records anything. The traced run must produce spans
     // for every pipeline stage and a nonzero interval count.
-    let _guard = cbsp_trace::test_lock();
-    cbsp_trace::reset();
-    cbsp_trace::enable();
-    let _ = run_at("gzip", 8);
-    let snap = cbsp_trace::snapshot();
-    cbsp_trace::disable();
-    cbsp_trace::reset();
+    let (_, snap) = run_traced("gzip", 8, Tracing::Scoped);
 
     for stage in [
         "stage/profile",
