@@ -139,7 +139,7 @@ fn evaluate_variant(
     scale: Scale,
     variant: &Variant,
     mem: &MemoryConfig,
-    traces: &TraceCache<'_>,
+    traces: &TraceCache,
 ) -> ([f64; 4], f64, usize, usize, usize) {
     let prog = workloads::by_name(name)
         .unwrap_or_else(|| panic!("unknown benchmark {name}"))

@@ -251,7 +251,7 @@ pub fn evaluate_benchmark_cached(
     interval_target: u64,
     mem: &MemoryConfig,
     store: Option<&ArtifactStore>,
-    traces: &TraceCache<'_>,
+    traces: &TraceCache,
     pool: &Pool,
 ) -> BenchmarkRun {
     let workload = workloads::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));

@@ -108,7 +108,7 @@ fn measure(
     interval_target: u64,
     threads: usize,
     mem: &MemoryConfig,
-    traces: &TraceCache<'_>,
+    traces: &TraceCache,
 ) -> MeasuredRun {
     let workload = workloads::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let prog = workload.build(scale);

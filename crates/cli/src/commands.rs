@@ -572,53 +572,32 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
                 stats.bytes,
                 stats.manifests
             );
-            let traces = stats
-                .per_stage
-                .get(cbsp_store::TRACE_STAGE)
-                .cloned()
-                .unwrap_or_default();
-            let slices = stats
-                .per_stage
-                .get(cbsp_store::TRACE_SLICE_STAGE)
-                .cloned()
-                .unwrap_or_default();
+            let split = stats.breakdown();
             println!(
                 "  pipeline stages: {} artifacts, {} bytes",
-                stats.artifacts - traces.artifacts - slices.artifacts,
-                stats.bytes - traces.bytes - slices.bytes
+                split.pipeline.artifacts, split.pipeline.bytes
             );
             println!(
                 "  trace cache:     {} artifacts, {} bytes (evicted by gc, re-recorded on use)",
-                traces.artifacts, traces.bytes
+                split.traces.artifacts, split.traces.bytes
             );
             println!(
                 "  sliced traces:   {} artifacts, {} bytes (evicted by gc, re-sliced on use)",
-                slices.artifacts, slices.bytes
+                split.slices.artifacts, split.slices.bytes
             );
+            if split.other.artifacts > 0 {
+                println!(
+                    "  other:           {} artifacts, {} bytes (shard maps, unreadable or legacy files)",
+                    split.other.artifacts, split.other.bytes
+                );
+            }
             for (stage, s) in &stats.per_stage {
                 println!("  {stage:<10} {} artifacts, {} bytes", s.artifacts, s.bytes);
             }
-            // Lane breakdown: non-default estimator lanes cache their
-            // stages under `stage@tag` namespaces (see
-            // cbsp_store::stage_namespaces); plain pipeline stages
-            // belong to the default `bbv` lane (profile/mappable are
-            // shared by every lane and counted there).
-            let mut lanes: std::collections::BTreeMap<&str, cbsp_store::StageStats> =
-                std::collections::BTreeMap::new();
-            for (stage, s) in &stats.per_stage {
-                if stage == cbsp_store::TRACE_STAGE || stage == cbsp_store::TRACE_SLICE_STAGE {
-                    continue;
-                }
-                let lane = match stage.split_once('@') {
-                    Some((_, tag)) => tag,
-                    None => "bbv",
-                };
-                let entry = lanes.entry(lane).or_default();
-                entry.artifacts += s.artifacts;
-                entry.bytes += s.bytes;
-            }
+            // Non-default estimator lanes cache their stages under
+            // `stage@tag` namespaces (see cbsp_store::stage_namespaces).
             println!("  by estimator lane:");
-            for (lane, s) in &lanes {
+            for (lane, s) in &split.lanes {
                 println!(
                     "    {lane:<14} {} artifacts, {} bytes",
                     s.artifacts, s.bytes

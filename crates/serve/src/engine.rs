@@ -99,7 +99,7 @@ struct ResultCache {
 /// Warm per-process pipeline state shared by all workers.
 pub(crate) struct Engine {
     pub store: Arc<ArtifactStore>,
-    pub traces: cbsp_store::TraceCache<'static>,
+    pub traces: cbsp_store::TraceCache,
     /// Thread budget for one execution slot (a batch shares it).
     pub threads: usize,
     /// Completed runs keyed by map-stage digest, FIFO-evicted at
@@ -236,7 +236,7 @@ pub(crate) fn prepare_spec(params: &Value, detail_allowed: bool) -> Result<Pipel
 impl Engine {
     pub fn new(store: Arc<ArtifactStore>, threads: usize) -> Engine {
         Engine {
-            traces: cbsp_store::TraceCache::shared(Arc::clone(&store)),
+            traces: cbsp_store::TraceCache::new(Some(&store)),
             store,
             threads,
             runs: Mutex::new(ResultCache::default()),
@@ -336,36 +336,24 @@ impl Engine {
     /// Store usage, with the trace and sliced-trace namespaces split
     /// out from the pipeline stages (trace payloads dwarf stage
     /// artifacts and are evicted by `gc`, so lumping them together
-    /// hides both facts).
+    /// hides both facts). `pipeline` counts pipeline-stage namespaces
+    /// only (see [`cbsp_store::StoreStats::breakdown`]).
     pub fn execute_store_stats(&self) -> Reply {
         let stats = self.store.stats().map_err(internal)?;
-        let traces = stats
-            .per_stage
-            .get(cbsp_store::TRACE_STAGE)
-            .cloned()
-            .unwrap_or_default();
-        let slices = stats
-            .per_stage
-            .get(cbsp_store::TRACE_SLICE_STAGE)
-            .cloned()
-            .unwrap_or_default();
+        let split = stats.breakdown();
         let sub = |stage: &cbsp_store::StageStats| {
             obj(vec![
                 ("artifacts", Value::UInt(stage.artifacts)),
                 ("bytes", Value::UInt(stage.bytes)),
             ])
         };
-        let pipeline = cbsp_store::StageStats {
-            artifacts: stats.artifacts - traces.artifacts - slices.artifacts,
-            bytes: stats.bytes - traces.bytes - slices.bytes,
-        };
         Ok(obj(vec![
             ("artifacts", Value::UInt(stats.artifacts)),
             ("bytes", Value::UInt(stats.bytes)),
             ("manifests", Value::UInt(stats.manifests)),
-            ("pipeline", sub(&pipeline)),
-            ("traces", sub(&traces)),
-            ("trace_slices", sub(&slices)),
+            ("pipeline", sub(&split.pipeline)),
+            ("traces", sub(&split.traces)),
+            ("trace_slices", sub(&split.slices)),
             (
                 "per_stage",
                 Value::Object(

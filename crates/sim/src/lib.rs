@@ -46,16 +46,15 @@ pub use config::{CacheLevelConfig, MemoryConfig, Replacement};
 pub use hierarchy::{Hierarchy, ServicedBy};
 pub use record::{record_trace, record_trace_with, EventTrace, RecordSink};
 pub use regions::{
-    estimate_cpi_from_regions, simulate_regions, simulate_regions_all, simulate_regions_with,
-    RegionStats, Warmup,
+    estimate_cpi_from_regions, simulate_regions, simulate_regions_with, RegionStats, Warmup,
 };
 pub use replay::{
     replay, replay_bytes, replay_fli_sliced, replay_full, replay_marker_sliced, replay_regions,
     replay_regions_with, TraceError,
 };
 pub use runner::{
-    simulate_fli_sliced, simulate_fli_sliced_all, simulate_full, simulate_full_all,
-    simulate_marker_sliced, simulate_marker_sliced_all, FliSlicedSim, FullSim, MarkerSlicedSim,
+    simulate_fli_sliced, simulate_full, simulate_marker_sliced, FliSlicedSim, FullSim,
+    MarkerSlicedSim,
 };
 pub use slice::{replay_slice, slice_trace, SlicedTrace, TraceSlice};
 pub use stats::{IntervalSim, LevelStats, SimStats};

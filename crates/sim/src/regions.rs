@@ -11,7 +11,6 @@
 use crate::config::MemoryConfig;
 use crate::hierarchy::{Hierarchy, ServicedBy};
 use crate::stats::IntervalSim;
-use cbsp_par::Pool;
 use cbsp_profile::{MarkerCounts, PinPointsFile, RegionBound, SimRegion};
 use cbsp_program::{run, Binary, BlockId, Input, Marker, TraceSink};
 use std::collections::HashMap;
@@ -265,21 +264,6 @@ pub fn simulate_regions_with(
     let mut sink = region_sink(config, file, warmup, binary.procs.len(), binary.loops.len());
     run(binary, input, &mut sink);
     region_results(sink)
-}
-
-/// [`simulate_regions`] for a batch of `(binary, region file)` jobs,
-/// fanned out over `pool` — e.g. one job per binary of a cross-binary
-/// run, each replaying its own mapped region file. Results are in
-/// input order.
-pub fn simulate_regions_all(
-    jobs: &[(&Binary, &PinPointsFile)],
-    input: &Input,
-    config: &MemoryConfig,
-    pool: &Pool,
-) -> Vec<Vec<RegionStats>> {
-    pool.run_indexed(jobs.len(), |i| {
-        simulate_regions(jobs[i].0, input, config, jobs[i].1)
-    })
 }
 
 /// Weighted whole-program CPI estimate from region measurements (the

@@ -18,7 +18,6 @@ use crate::branch::Gshare;
 use crate::config::MemoryConfig;
 use crate::hierarchy::{Hierarchy, ServicedBy};
 use crate::stats::{IntervalSim, SimStats};
-use cbsp_par::Pool;
 use cbsp_profile::{ExecPoint, MarkerCounts};
 use cbsp_program::{run, Binary, BlockId, Input, Marker, TraceSink};
 
@@ -369,60 +368,6 @@ pub fn simulate_marker_sliced(
     let (stats, intervals) = sink.finish();
     cbsp_trace::add("sim/instructions", stats.instructions);
     (stats, intervals)
-}
-
-/// [`simulate_full`] for a batch of binaries, one job per binary fanned
-/// out over `pool`. Each job is a complete detailed simulation of one
-/// binary — the dominant cost of a cross-binary evaluation — and the
-/// jobs share nothing, so this scales with `min(threads, binaries)`.
-pub fn simulate_full_all(
-    binaries: &[&Binary],
-    input: &Input,
-    config: &MemoryConfig,
-    pool: &Pool,
-) -> Vec<SimStats> {
-    pool.run_indexed(binaries.len(), |i| {
-        simulate_full(binaries[i], input, config)
-    })
-}
-
-/// [`simulate_fli_sliced`] for a batch of binaries, fanned out over
-/// `pool`. Results are in input order.
-pub fn simulate_fli_sliced_all(
-    binaries: &[&Binary],
-    input: &Input,
-    config: &MemoryConfig,
-    target: u64,
-    pool: &Pool,
-) -> Vec<(SimStats, Vec<IntervalSim>)> {
-    pool.run_indexed(binaries.len(), |i| {
-        simulate_fli_sliced(binaries[i], input, config, target)
-    })
-}
-
-/// [`simulate_marker_sliced`] for a batch of binaries, each with its
-/// own boundary list, fanned out over `pool`.
-///
-/// # Panics
-///
-/// Panics if `boundaries.len() != binaries.len()`, or if any binary
-/// fails to reach one of its boundaries (see
-/// [`simulate_marker_sliced`]).
-pub fn simulate_marker_sliced_all(
-    binaries: &[&Binary],
-    input: &Input,
-    config: &MemoryConfig,
-    boundaries: &[Vec<ExecPoint>],
-    pool: &Pool,
-) -> Vec<(SimStats, Vec<IntervalSim>)> {
-    assert_eq!(
-        binaries.len(),
-        boundaries.len(),
-        "one boundary list per binary"
-    );
-    pool.run_indexed(binaries.len(), |i| {
-        simulate_marker_sliced(binaries[i], input, config, &boundaries[i])
-    })
 }
 
 #[cfg(test)]

@@ -1,74 +1,76 @@
-//! The binary blob artifact tier: raw checksummed files for large
-//! payloads.
+//! The blob format: the one on-disk framing of every store artifact.
 //!
-//! JSON envelopes (see [`crate::store`]) are the right format for
-//! pipeline-stage artifacts — small, structured, human-inspectable —
-//! but a recorded [`EventTrace`](cbsp_sim::EventTrace) is megabytes of
-//! varint event bytes, and round-tripping it through base64-in-JSON
-//! would pay ~33% size inflation plus a parse, a decode, and a copy on
-//! every read. The blob tier stores such payloads as raw binary files
-//! with a small fixed header, keyed by the *same* content digests as
-//! the envelope tier, so cache-key derivation, gc roots, and the
-//! repair-as-miss contract are shared — only the bytes on disk differ.
+//! Every object under `objects/` is a checksummed blob: a small fixed
+//! header, the stage name, a *meta* section and the *payload* bytes
+//! verbatim. Pipeline-stage artifacts and the router's shard map put
+//! their canonical JSON in the payload and leave the meta section
+//! empty (see [`ArtifactStore::put`]); recorded event traces and trace
+//! slices put their fixed fields (event counts, dimensions) in the
+//! meta section and megabytes of varint event bytes in the payload, so
+//! a consumer like [`crate::TraceCache`] can adopt the payload buffer
+//! as the event buffer directly — no base64, no re-encode, no
+//! intermediate copy.
 //!
 //! ## On-disk layout
-//!
-//! Blob files live beside the envelopes, distinguished by extension:
 //!
 //! ```text
 //! <root>/objects/<k[0..2]>/<k>.blob
 //! ```
 //!
-//! A blob file is a fixed 100-byte header followed by a small *meta*
-//! section and the *payload* bytes verbatim:
+//! A blob file is an 85-byte fixed header, the stage name, then the
+//! meta bytes and the payload bytes:
 //!
 //! ```text
 //! offset  size  field
 //!      0     4  magic "CBSB"
-//!      4     4  format version (u32 LE, currently 1)
-//!      8     1  stage-name length (≤ 15)
-//!      9    15  stage name, zero-padded
-//!     24    32  key (raw SHA-256; must match the filename)
-//!     56    32  checksum: SHA-256 of meta ‖ payload
-//!     88     4  meta length (u32 LE)
-//!     92     8  payload length (u64 LE)
-//!    100     —  meta bytes, then payload bytes
+//!      4     4  format version (u32 LE, currently 2)
+//!      8    32  key (raw SHA-256; must match the filename)
+//!     40    32  checksum: SHA-256 of meta ‖ payload
+//!     72     4  meta length (u32 LE)
+//!     76     8  payload length (u64 LE)
+//!     84     1  stage-name length n (≤ 255)
+//!     85     n  stage name (UTF-8), e.g. `simpoint@stratified@fuzzy`
+//!   85+n     —  meta bytes, then payload bytes
 //! ```
 //!
-//! The *meta* section carries the payload's fixed header fields (event
-//! counts, dimensions — whatever the consumer needs to interpret the
-//! raw bytes); the *payload* is handed out in its own freshly read
-//! buffer, so a consumer like [`crate::TraceCache`] can adopt it as
-//! the event buffer directly — no re-encode, no intermediate copy.
+//! To read a stage artifact by hand, skip the header and the stage
+//! name: the rest of the file is the payload's compact JSON (stage
+//! artifacts have an empty meta section).
 //!
 //! Corruption — wrong magic, stage or key mismatch, bad lengths,
 //! checksum mismatch, truncation, trailing bytes — is detected on read
 //! and reported as a typed
 //! [`CbspError::ArtifactCorrupt`](cbsp_core::CbspError), never a
-//! panic; an unknown format version reports
-//! [`CbspError::ArtifactVersionMismatch`](cbsp_core::CbspError).
-//! Property-tested over header and payload mutations in
-//! `crates/store/tests/blob_props.rs`.
+//! panic; any other format version (including version 1, whose
+//! 15-byte stage field could not hold lane namespaces) reports
+//! [`CbspError::ArtifactVersionMismatch`](cbsp_core::CbspError). The
+//! checksum covers the raw bytes, so every single-byte change is an
+//! error. Property-tested over header and payload mutations in
+//! `crates/store/tests/blob_props.rs` and `store_props.rs`.
 
 use cbsp_core::CbspError;
 use std::io::Read;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use crate::sha256::{to_hex, Sha256};
-use crate::store::{write_then_rename, ArtifactStore, StageKey};
+use crate::store::{corrupt, io_err, write_then_rename, ArtifactStore, StageKey};
 
 /// First four bytes of every blob file.
 pub const BLOB_MAGIC: [u8; 4] = *b"CBSB";
 
 /// Blob framing version; bump when the header or section layout
 /// changes incompatibly.
-pub const BLOB_FORMAT_VERSION: u32 = 1;
+///
+/// v2: the stage name moved out of a fixed 15-byte field into a
+/// length-prefixed one after the header, so lane namespaces such as
+/// `map@bbv+mav@early0.25@fuzzy` fit.
+pub const BLOB_FORMAT_VERSION: u32 = 2;
 
-/// Fixed header size in bytes.
-pub const BLOB_HEADER_LEN: usize = 100;
+/// Fixed header size in bytes (the stage name follows it).
+pub const BLOB_HEADER_LEN: usize = 85;
 
-/// Longest stage name the fixed header can hold.
-pub const BLOB_STAGE_MAX: usize = 15;
+/// Longest stage name the one-byte length prefix can hold.
+pub const BLOB_STAGE_MAX: usize = u8::MAX as usize;
 
 /// A verified blob read: the meta section and the payload, each in its
 /// own buffer. The payload buffer is freshly allocated at exactly the
@@ -79,20 +81,6 @@ pub struct Blob {
     pub meta: Vec<u8>,
     /// The raw payload bytes, verbatim as written.
     pub payload: Vec<u8>,
-}
-
-fn corrupt(key: &StageKey, detail: impl Into<String>) -> CbspError {
-    CbspError::ArtifactCorrupt {
-        key: key.as_hex().to_string(),
-        detail: detail.into(),
-    }
-}
-
-fn io_err(path: &std::path::Path, e: impl std::fmt::Display) -> CbspError {
-    CbspError::StoreIo {
-        path: path.display().to_string(),
-        detail: e.to_string(),
-    }
 }
 
 /// Decodes a 64-hex-digit key into its raw 32 bytes.
@@ -120,42 +108,59 @@ fn checksum(meta: &[u8], payload: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
-/// Builds the 100-byte header for (`stage`, `key`, `meta`, `payload`).
+fn u32_at(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes"))
+}
+
+/// Builds the header and stage name for (`stage`, `key`, `meta`,
+/// `payload`).
 ///
 /// # Panics
 ///
 /// Panics if `stage` exceeds [`BLOB_STAGE_MAX`] bytes or `meta`
 /// exceeds `u32::MAX` — both programmer errors, not data corruption.
-fn encode_header(
-    stage: &str,
-    key: &StageKey,
-    meta: &[u8],
-    payload: &[u8],
-) -> [u8; BLOB_HEADER_LEN] {
-    assert!(
-        stage.len() <= BLOB_STAGE_MAX,
-        "blob stage name `{stage}` exceeds {BLOB_STAGE_MAX} bytes"
-    );
-    let mut h = [0u8; BLOB_HEADER_LEN];
-    h[0..4].copy_from_slice(&BLOB_MAGIC);
-    h[4..8].copy_from_slice(&BLOB_FORMAT_VERSION.to_le_bytes());
-    h[8] = stage.len() as u8;
-    h[9..9 + stage.len()].copy_from_slice(stage.as_bytes());
-    h[24..56].copy_from_slice(&key_bytes(key));
-    h[56..88].copy_from_slice(&checksum(meta, payload));
-    h[88..92].copy_from_slice(
+fn encode_header(stage: &str, key: &StageKey, meta: &[u8], payload: &[u8]) -> Vec<u8> {
+    let stage_len = u8::try_from(stage.len())
+        .unwrap_or_else(|_| panic!("blob stage name `{stage}` exceeds {BLOB_STAGE_MAX} bytes"));
+    let mut h = Vec::with_capacity(BLOB_HEADER_LEN + stage.len());
+    h.extend_from_slice(&BLOB_MAGIC);
+    h.extend_from_slice(&BLOB_FORMAT_VERSION.to_le_bytes());
+    h.extend_from_slice(&key_bytes(key));
+    h.extend_from_slice(&checksum(meta, payload));
+    h.extend_from_slice(
         &u32::try_from(meta.len())
             .expect("meta fits u32")
             .to_le_bytes(),
     );
-    h[92..100].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    h.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    h.push(stage_len);
+    h.extend_from_slice(stage.as_bytes());
     h
+}
+
+/// Reads the stage name out of a blob file's header — best-effort
+/// attribution for stats; a malformed header or another format
+/// version yields `None` (the file still counts toward totals, under
+/// `<unknown>`).
+pub(crate) fn read_blob_stage(path: &Path) -> Option<String> {
+    let mut file = std::fs::File::open(path).ok()?;
+    let mut header = [0u8; BLOB_HEADER_LEN];
+    file.read_exact(&mut header).ok()?;
+    if header[0..4] != BLOB_MAGIC || u32_at(&header, 4) != BLOB_FORMAT_VERSION {
+        return None;
+    }
+    let mut stage = vec![0u8; usize::from(header[84])];
+    file.read_exact(&mut stage).ok()?;
+    String::from_utf8(stage).ok()
 }
 
 impl ArtifactStore {
     /// Path of the blob file for `key`.
     pub fn blob_path(&self, key: &StageKey) -> PathBuf {
-        self.object_path(key).with_extension("blob")
+        self.root()
+            .join("objects")
+            .join(&key.as_hex()[..2])
+            .join(format!("{}.blob", key.as_hex()))
     }
 
     /// Whether a blob exists for `key` (without verifying it).
@@ -165,8 +170,8 @@ impl ArtifactStore {
 
     /// Stores (`meta`, `payload`) as the blob of (`stage`, `key`).
     /// Returns `true` if newly written, `false` if a blob already
-    /// existed (like [`ArtifactStore::put`], content-addressed blobs
-    /// only need overwriting to repair corruption).
+    /// existed (content-addressed blobs only need overwriting to
+    /// repair corruption).
     ///
     /// # Errors
     ///
@@ -186,8 +191,8 @@ impl ArtifactStore {
     }
 
     /// Stores the blob unconditionally, replacing any existing file
-    /// (used to refresh or to repair a corrupt blob). Write-then-rename
-    /// like the envelope tier, so readers never observe a torn file.
+    /// (used to refresh or to repair a corrupt blob). Write-then-rename,
+    /// so readers never observe a torn file.
     ///
     /// # Errors
     ///
@@ -211,7 +216,7 @@ impl ArtifactStore {
         })?;
         cbsp_trace::add(
             "store/blob_bytes_written",
-            (BLOB_HEADER_LEN + meta.len() + payload.len()) as u64,
+            (header.len() + meta.len() + payload.len()) as u64,
         );
         Ok(())
     }
@@ -249,7 +254,7 @@ impl ArtifactStore {
         if header[0..4] != BLOB_MAGIC {
             return Err(corrupt(key, "bad blob magic"));
         }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+        let version = u32_at(&header, 4);
         if version != BLOB_FORMAT_VERSION {
             return Err(CbspError::ArtifactVersionMismatch {
                 key: key.as_hex().to_string(),
@@ -257,53 +262,47 @@ impl ArtifactStore {
                 supported: BLOB_FORMAT_VERSION,
             });
         }
-        let stage_len = header[8] as usize;
-        if stage_len > BLOB_STAGE_MAX {
-            return Err(corrupt(key, format!("impossible stage length {stage_len}")));
+        if header[8..40] != key_bytes(key) {
+            return Err(corrupt(key, "stored key does not match its filename"));
         }
-        let stored_stage = &header[9..9 + stage_len];
-        if stored_stage != stage.as_bytes() {
+        let meta_len = u32_at(&header, 72) as usize;
+        let payload_len = u64::from_le_bytes(header[76..84].try_into().expect("8 bytes"));
+        let stage_len = usize::from(header[84]);
+        let declared = (BLOB_HEADER_LEN + stage_len + meta_len) as u64;
+        if declared.checked_add(payload_len) != Some(total) {
+            return Err(corrupt(
+                key,
+                format!(
+                    "length mismatch: header declares {declared} + {payload_len} bytes, \
+                     file has {total}"
+                ),
+            ));
+        }
+
+        // Stage name and meta in one read; the payload buffer is the
+        // one we hand out: one allocation, filled directly from the
+        // file, adopted by the caller.
+        let mut meta = vec![0u8; stage_len + meta_len];
+        file.read_exact(&mut meta)
+            .map_err(|_| corrupt(key, "blob truncated inside the meta section"))?;
+        if &meta[..stage_len] != stage.as_bytes() {
             return Err(corrupt(
                 key,
                 format!(
                     "stage mismatch: stored for `{}`, requested `{stage}`",
-                    String::from_utf8_lossy(stored_stage)
+                    String::from_utf8_lossy(&meta[..stage_len])
                 ),
             ));
         }
-        if header[9 + stage_len..24].iter().any(|&b| b != 0) {
-            return Err(corrupt(key, "nonzero stage padding"));
-        }
-        if header[24..56] != key_bytes(key) {
-            return Err(corrupt(key, "stored key does not match its filename"));
-        }
-        let meta_len = u32::from_le_bytes(header[88..92].try_into().expect("4 bytes")) as usize;
-        let payload_len = u64::from_le_bytes(header[92..100].try_into().expect("8 bytes"));
-        let declared = BLOB_HEADER_LEN as u64 + meta_len as u64 + payload_len;
-        if declared != total {
-            return Err(corrupt(
-                key,
-                format!("length mismatch: header declares {declared} bytes, file has {total}"),
-            ));
-        }
-        let payload_len = payload_len as usize;
-
-        let mut meta = vec![0u8; meta_len];
-        file.read_exact(&mut meta)
-            .map_err(|_| corrupt(key, "blob truncated inside the meta section"))?;
-        // The payload buffer is the one we hand out: one allocation,
-        // filled directly from the file, adopted by the caller.
-        let mut payload = vec![0u8; payload_len];
+        meta.drain(..stage_len);
+        let mut payload = vec![0u8; payload_len as usize];
         file.read_exact(&mut payload)
             .map_err(|_| corrupt(key, "blob truncated inside the payload"))?;
-        if header[56..88] != checksum(&meta, &payload) {
+        if header[40..72] != checksum(&meta, &payload) {
             return Err(corrupt(key, "blob checksum mismatch"));
         }
         cbsp_trace::add("store/blob_reads", 1);
-        cbsp_trace::add(
-            "store/blob_bytes_read",
-            (BLOB_HEADER_LEN + meta_len + payload_len) as u64,
-        );
+        cbsp_trace::add("store/blob_bytes_read", total);
         Ok(Some(Blob { meta, payload }))
     }
 }
@@ -326,7 +325,7 @@ pub fn derived_key(parent: &StageKey, label: &str, index: u64) -> StageKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::stage_key;
+    use crate::store::{stage_key, Lookup};
     use serde::Value;
 
     fn temp_store(tag: &str) -> (ArtifactStore, PathBuf) {
@@ -388,6 +387,11 @@ mod tests {
             matches!(err, CbspError::ArtifactVersionMismatch { found: 99, .. }),
             "{err}"
         );
+        // A version-1 blob (15-byte stage field) is a miss to repair.
+        bytes[4] = 1;
+        std::fs::write(&path, &bytes).expect("rewrites");
+        let found = store.lookup("trace", &key, |blob| Ok(blob.payload));
+        assert_eq!(found.expect("no io error"), Lookup::Repair);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -438,14 +442,12 @@ mod tests {
     fn failed_writes_leave_no_tmp_files() {
         let (store, dir) = temp_store("tmp-cleanup");
         let key = a_key(6);
-        // A non-empty directory squatting on each target path makes the
+        // A non-empty directory squatting on the target path makes the
         // final rename fail after the tmp file has been written.
-        for target in [store.object_path(&key), store.blob_path(&key)] {
-            std::fs::create_dir_all(target.join("occupied")).expect("squats");
-        }
+        std::fs::create_dir_all(store.blob_path(&key).join("occupied")).expect("squats");
         let err = store
             .put_overwrite("trace", &key, &Value::UInt(7))
-            .expect_err("envelope rename fails");
+            .expect_err("artifact rename fails");
         assert!(matches!(err, CbspError::StoreIo { .. }), "{err}");
         let err = store
             .put_blob_overwrite("trace", &key, &[1, 2], b"payload")

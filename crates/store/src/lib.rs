@@ -9,10 +9,12 @@
 //!
 //! * [`ArtifactStore`] — a content-addressed on-disk store. Artifacts
 //!   are keyed by the SHA-256 of a canonical description of their
-//!   inputs, written as checksummed, schema-versioned JSON envelopes,
-//!   and described by human-readable run manifests. Corruption is
-//!   detected on read and reported as a typed
-//!   [`CbspError`](cbsp_core::CbspError) — never a panic.
+//!   inputs, written in one format — the checksummed blob of
+//!   [`blob`], whose payload is canonical JSON for stage artifacts and
+//!   raw event bytes for traces — and described by human-readable run
+//!   manifests. Corruption is detected on read and reported as a typed
+//!   [`CbspError`](cbsp_core::CbspError) — never a panic — and every
+//!   cache repairs it as a miss through [`ArtifactStore::lookup`].
 //! * [`Orchestrator`] — the `cbsp-core` stage runner
 //!   (`profile → mappable → vli → simpoint → map`) with a hook that adds
 //!   per-stage cache lookup, key-chained invalidation and cancellation
@@ -62,8 +64,8 @@ pub use orchestrator::{
 };
 pub use sha256::{hex_digest, Sha256};
 pub use store::{
-    canonical_json, content_hash, key_part, stage_key, ArtifactStore, GcReport, ManifestStage,
-    RunManifest, StageKey, StageStats, StoreStats, SCHEMA_VERSION,
+    canonical_json, content_hash, key_part, stage_key, ArtifactStore, GcReport, Lookup,
+    ManifestStage, RunManifest, StageKey, StageStats, StoreBreakdown, StoreStats, SCHEMA_VERSION,
 };
 pub use traces::{
     trace_key, trace_slice_key, CpiEstimate, TraceCache, TRACE_SLICE_STAGE, TRACE_STAGE,

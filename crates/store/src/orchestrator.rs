@@ -27,8 +27,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::sha256::hex_digest;
 use crate::store::{
-    canonical_json, content_hash, key_part, stage_key, ArtifactStore, ManifestStage, RunManifest,
-    StageKey,
+    canonical_json, content_hash, decode_json, key_part, stage_key, ArtifactStore, Lookup,
+    ManifestStage, RunManifest, StageKey,
 };
 
 /// Store namespaces of the estimator-dependent pipeline stages.
@@ -50,7 +50,7 @@ pub struct StageNamespaces {
 /// names, so its keys — and therefore its on-disk artifacts — are
 /// byte-identical to the pre-estimator store. Every other lane gets
 /// `stage@tag` namespaces (e.g. `simpoint@stratified`), which flow into
-/// both the stage-key hash and the artifact envelope's stage string, so
+/// both the stage-key hash and the artifact blob's stage name, so
 /// lanes can never collide and `cache stats` can attribute populations
 /// per estimator. The `vli` namespace depends only on the *feature*
 /// kind: selectors reuse the same interval profile, so the `early` and
@@ -413,20 +413,14 @@ impl StageHook for CacheHook<'_, '_> {
             Stage::Mappable | Stage::Map => "all binaries".to_string(),
         };
         let Orchestrator { store, policy, .. } = self.orchestrator;
-        let mut repair = false;
-        let stored = match policy {
-            CachePolicy::ReadWrite => match store.get::<T>(ns, key) {
-                Ok(stored) => stored,
-                Err(
-                    CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. },
-                ) => {
-                    repair = true;
-                    cbsp_trace::add("store/repairs", 1);
-                    None
-                }
-                Err(other) => return Err(other),
-            },
-            CachePolicy::Refresh | CachePolicy::Bypass => None,
+        let found = match policy {
+            CachePolicy::ReadWrite => store.lookup(ns, key, |blob| decode_json(key, &blob))?,
+            CachePolicy::Refresh | CachePolicy::Bypass => Lookup::Miss,
+        };
+        let (stored, repair) = match found {
+            Lookup::Hit(value) => (Some(value), false),
+            Lookup::Miss => (None, false),
+            Lookup::Repair => (None, true),
         };
         let hit = stored.is_some();
         if *policy != CachePolicy::Bypass {
@@ -599,5 +593,48 @@ mod tests {
         assert_eq!(fuzzy.vli, loose.vli);
         assert_eq!(fuzzy.simpoint, loose.simpoint);
         assert_ne!(fuzzy.map, loose.map);
+    }
+
+    /// Every namespace a lane can store under — up to
+    /// `map@bbv+mav@early0.25@fuzzy` — fits the blob header and
+    /// round-trips through the store under its own stage name.
+    #[test]
+    fn every_lane_namespace_round_trips_through_the_store() {
+        use cbsp_simpoint::{FeatureKind, RepresentativePolicy};
+        let dir = std::env::temp_dir().join(format!("cbsp-lane-ns-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).expect("store opens");
+        let mut estimators: Vec<EstimatorConfig> = EstimatorConfig::KNOWN_TAGS
+            .iter()
+            .map(|tag| EstimatorConfig::parse(tag).expect("known tag"))
+            .collect();
+        for selector in [
+            RepresentativePolicy::Earliest { tolerance: 0.25 },
+            RepresentativePolicy::Stratified { per_cluster: 5 },
+        ] {
+            estimators.push(EstimatorConfig {
+                features: FeatureKind::BbvMav,
+                selector,
+            });
+        }
+        let mut namespaces = std::collections::BTreeSet::new();
+        for estimator in &estimators {
+            for fuzzy in [false, true] {
+                let ns = stage_namespaces(estimator, fuzzy);
+                namespaces.extend([ns.vli, ns.simpoint, ns.map]);
+            }
+        }
+        assert!(namespaces.contains("map@bbv+mav@early0.25@fuzzy"));
+        for ns in &namespaces {
+            let key = stage_key(ns, &[]);
+            let value = Value::Str(ns.clone());
+            assert!(store.put(ns, &key, &value).expect("puts"), "{ns}");
+            let got: Option<Value> = store.get(ns, &key).expect("reads");
+            assert_eq!(got, Some(value), "{ns}");
+        }
+        let stats = store.stats().expect("stats");
+        let stored: Vec<&String> = stats.per_stage.keys().collect();
+        assert_eq!(stored, namespaces.iter().collect::<Vec<_>>());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

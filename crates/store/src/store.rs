@@ -1,8 +1,8 @@
 //! The content-addressed on-disk artifact store.
 //!
-//! Every pipeline artifact is stored under a [`StageKey`] — the SHA-256
-//! of a canonical JSON document naming the stage, the schema version,
-//! and every input that determines the artifact (source program,
+//! Every artifact is stored under a [`StageKey`] — the SHA-256 of a
+//! canonical JSON document naming the stage, the schema version, and
+//! every input that determines the artifact (source program,
 //! target/opt configuration, stage configuration). Identical inputs
 //! always map to the same key, so cache lookup is a pure function of
 //! the work description and invalidation is automatic: changing any
@@ -12,34 +12,40 @@
 //! ## On-disk layout
 //!
 //! ```text
-//! <root>/objects/<k[0..2]>/<k>.json   checksummed artifact envelopes
-//! <root>/objects/<k[0..2]>/<k>.blob   binary blob tier (see [`crate::blob`])
+//! <root>/objects/<k[0..2]>/<k>.blob   checksummed blobs (see [`crate::blob`])
 //! <root>/manifests/<run>.json         human-readable run manifests
 //! ```
 //!
-//! An artifact file is a JSON envelope:
+//! Every artifact is a blob. A pipeline-stage artifact is a blob whose
+//! payload is the artifact's canonical compact JSON and whose meta
+//! section is empty; [`ArtifactStore::put`] and [`ArtifactStore::get`]
+//! wrap the blob writer and the verified blob reader with one
+//! serialization each way. The blob checksum covers the raw bytes, so
+//! truncation or on-disk modification is detected and reported as a
+//! typed [`CbspError::ArtifactCorrupt`] — never a panic, and never
+//! silently wrong data. [`ArtifactStore::lookup`] is the one
+//! repair-as-miss read every cache goes through.
 //!
-//! ```text
-//! { "schema": 1, "stage": "vli", "key": "<64 hex>",
-//!   "checksum": "<sha256 of canonical payload>", "payload": ... }
-//! ```
-//!
-//! `get` re-serializes the parsed payload canonically and compares its
-//! SHA-256 with the stored checksum, so truncation or on-disk
-//! modification is detected and reported as a typed
-//! [`CbspError::ArtifactCorrupt`] — never a panic, and never silently
-//! wrong data.
+//! Files of any other format under `objects/` (such as the `<k>.json`
+//! envelopes older versions wrote) are never read: the lookup misses
+//! and writes the blob beside them, and [`ArtifactStore::gc`] evicts
+//! them whether or not a manifest references their key.
 
-use cbsp_core::CbspError;
+use cbsp_core::{CbspError, Stage};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use crate::blob::{read_blob_stage, Blob};
 use crate::sha256::hex_digest;
+use crate::traces::{TRACE_SLICE_STAGE, TRACE_STAGE};
 
-/// Artifact schema version; bump when envelope or payload encodings
-/// change incompatibly.
+/// Artifact schema version: it enters every stage key, so bumping it
+/// re-keys every artifact. Bump it when a payload encoding changes
+/// incompatibly (the blob framing has its own version,
+/// [`BLOB_FORMAT_VERSION`](crate::BLOB_FORMAT_VERSION), which does not
+/// enter keys).
 ///
 /// v2: `SimPoint` gained a `share` field and `VliProfile` a `mavs`
 /// field (estimator lanes); v1 payloads no longer deserialize.
@@ -124,8 +130,16 @@ pub fn key_part<T: serde::Serialize>(value: &T) -> Value {
 pub struct StageStats {
     /// Number of artifacts of this stage.
     pub artifacts: u64,
-    /// Total bytes of their envelope files.
+    /// Total bytes of their blob files (header, stage name, meta and
+    /// payload).
     pub bytes: u64,
+}
+
+impl StageStats {
+    fn add(&mut self, other: &StageStats) {
+        self.artifacts += other.artifacts;
+        self.bytes += other.bytes;
+    }
 }
 
 /// A snapshot of the store's disk usage.
@@ -137,14 +151,67 @@ pub struct StoreStats {
     pub bytes: u64,
     /// Number of run manifests.
     pub manifests: u64,
-    /// Per-stage breakdown, keyed by stage name.
+    /// Per-stage breakdown, keyed by stage name (`<unknown>` for files
+    /// whose stage cannot be read, such as legacy `.json` envelopes).
     pub per_stage: BTreeMap<String, StageStats>,
+}
+
+/// [`StoreStats`] split by what the objects are, for `cache stats` and
+/// serve's `store.stats`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StoreBreakdown {
+    /// Pipeline-stage artifacts (`profile` … `map`, every lane).
+    pub pipeline: StageStats,
+    /// Recorded event traces ([`TRACE_STAGE`]).
+    pub traces: StageStats,
+    /// Sliced-trace manifests and slices ([`TRACE_SLICE_STAGE`]).
+    pub slices: StageStats,
+    /// Everything else: the router's shard map, unreadable files.
+    pub other: StageStats,
+    /// Pipeline-stage artifacts per estimator lane: the namespace's
+    /// `@` suffix (`stratified`, `bbv+mav@fuzzy`, …), or `bbv` for the
+    /// plain stage names (`profile`/`mappable` are shared by every
+    /// lane and counted there).
+    pub lanes: BTreeMap<String, StageStats>,
+}
+
+/// Whether `namespace` holds pipeline-stage artifacts: a stage name of
+/// [`Stage::ALL`], optionally with an `@lane` suffix.
+fn is_pipeline_namespace(namespace: &str) -> bool {
+    let base = namespace
+        .split_once('@')
+        .map_or(namespace, |(base, _)| base);
+    Stage::ALL.iter().any(|stage| stage.name() == base)
+}
+
+impl StoreStats {
+    /// Splits the per-stage counts into pipeline stages, traces,
+    /// slices and the rest, with the pipeline stages also broken down
+    /// by estimator lane.
+    pub fn breakdown(&self) -> StoreBreakdown {
+        let mut out = StoreBreakdown::default();
+        for (stage, s) in &self.per_stage {
+            let bucket = match stage.as_str() {
+                TRACE_STAGE => &mut out.traces,
+                TRACE_SLICE_STAGE => &mut out.slices,
+                ns if is_pipeline_namespace(ns) => {
+                    let lane = ns.split_once('@').map_or("bbv", |(_, tag)| tag);
+                    out.lanes.entry(lane.to_string()).or_default().add(s);
+                    &mut out.pipeline
+                }
+                _ => &mut out.other,
+            };
+            bucket.add(s);
+        }
+        out
+    }
 }
 
 /// Result of a [`ArtifactStore::gc`] sweep.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Artifacts removed (unreferenced by any manifest).
+    /// Artifacts this sweep removed (unreferenced by any manifest; a
+    /// file another sweep removed first is not counted).
     pub removed: u64,
     /// Bytes reclaimed.
     pub reclaimed_bytes: u64,
@@ -169,7 +236,7 @@ pub struct ManifestStage {
 /// produced or reused. Manifests are what `gc` treats as roots.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RunManifest {
-    /// Envelope schema version the run wrote.
+    /// Artifact schema version the run wrote.
     pub schema: u32,
     /// Key identifying the run (hash over its stage keys).
     pub run_key: String,
@@ -221,38 +288,18 @@ pub(crate) fn write_then_rename(
     result
 }
 
-fn io_err(path: &Path, e: impl fmt::Display) -> CbspError {
+pub(crate) fn io_err(path: &Path, e: impl fmt::Display) -> CbspError {
     CbspError::StoreIo {
         path: path.display().to_string(),
         detail: e.to_string(),
     }
 }
 
-fn corrupt(key: &StageKey, detail: impl Into<String>) -> CbspError {
+pub(crate) fn corrupt(key: &StageKey, detail: impl Into<String>) -> CbspError {
     CbspError::ArtifactCorrupt {
         key: key.as_hex().to_string(),
         detail: detail.into(),
     }
-}
-
-/// Reads the stage name out of a blob file's fixed header — best-effort
-/// attribution for stats; a malformed header yields `None` (the file
-/// still counts toward totals, under `<unknown>`).
-fn read_blob_stage(path: &Path) -> Option<String> {
-    use std::io::Read;
-    let mut header = [0u8; 24];
-    std::fs::File::open(path)
-        .ok()?
-        .read_exact(&mut header)
-        .ok()?;
-    if header[0..4] != crate::blob::BLOB_MAGIC {
-        return None;
-    }
-    let len = header[8] as usize;
-    if len > crate::blob::BLOB_STAGE_MAX {
-        return None;
-    }
-    String::from_utf8(header[9..9 + len].to_vec()).ok()
 }
 
 impl ArtifactStore {
@@ -276,24 +323,12 @@ impl ArtifactStore {
         &self.root
     }
 
-    /// Path of the artifact file for `key`.
-    pub fn object_path(&self, key: &StageKey) -> PathBuf {
-        self.root
-            .join("objects")
-            .join(&key.as_hex()[..2])
-            .join(format!("{}.json", key.as_hex()))
-    }
-
-    /// Whether an artifact exists for `key` (without verifying it).
-    pub fn contains(&self, key: &StageKey) -> bool {
-        self.object_path(key).is_file()
-    }
-
-    /// Stores `value` as the artifact of (`stage`, `key`). Returns
-    /// `true` if the artifact was newly written, `false` if an entry
-    /// already existed (content-addressed stores never need to
-    /// overwrite a present key except to repair corruption — pass
-    /// `overwrite` via [`ArtifactStore::put_overwrite`] for that).
+    /// Stores `value` as the artifact of (`stage`, `key`): a blob whose
+    /// payload is `value`'s canonical JSON. Returns `true` if the
+    /// artifact was newly written, `false` if one already existed
+    /// (content-addressed stores never need to overwrite a present key
+    /// except to repair corruption — see
+    /// [`ArtifactStore::put_overwrite`]).
     ///
     /// # Errors
     ///
@@ -304,7 +339,7 @@ impl ArtifactStore {
         key: &StageKey,
         value: &T,
     ) -> Result<bool, CbspError> {
-        if self.contains(key) {
+        if self.contains_blob(key) {
             return Ok(false);
         }
         self.put_overwrite(stage, key, value)?;
@@ -323,18 +358,8 @@ impl ArtifactStore {
         key: &StageKey,
         value: &T,
     ) -> Result<(), CbspError> {
-        let _span = cbsp_trace::span_labeled("store/put", || stage.to_string());
-        let payload = serde_json::to_value(value).expect("serialization cannot fail");
-        let checksum = hex_digest(canonical_json(&payload).as_bytes());
-        let envelope = Value::Object(vec![
-            ("schema".to_string(), Value::UInt(u64::from(SCHEMA_VERSION))),
-            ("stage".to_string(), Value::Str(stage.to_string())),
-            ("key".to_string(), Value::Str(key.as_hex().to_string())),
-            ("checksum".to_string(), Value::Str(checksum)),
-            ("payload".to_string(), payload),
-        ]);
-        let text = serde_json::to_string(&envelope).expect("serialization cannot fail");
-        write_then_rename(&self.object_path(key), |tmp| std::fs::write(tmp, &text))?;
+        let text = canonical_json(value);
+        self.put_blob_overwrite(stage, key, &[], text.as_bytes())?;
         cbsp_trace::add("store/bytes_written", text.len() as u64);
         Ok(())
     }
@@ -345,10 +370,11 @@ impl ArtifactStore {
     ///
     /// # Errors
     ///
-    /// * [`CbspError::ArtifactCorrupt`] — unparseable envelope, wrong
-    ///   stage/key binding, checksum mismatch, or undecodable payload;
-    /// * [`CbspError::ArtifactVersionMismatch`] — schema version from a
-    ///   different build;
+    /// * [`CbspError::ArtifactCorrupt`] — damaged framing, wrong
+    ///   stage/key binding, checksum mismatch, or a payload that does
+    ///   not decode as `T`;
+    /// * [`CbspError::ArtifactVersionMismatch`] — blob format version
+    ///   from a different build;
     /// * [`CbspError::StoreIo`] — filesystem failure other than
     ///   not-found.
     pub fn get<T: serde::de::DeserializeOwned>(
@@ -356,67 +382,41 @@ impl ArtifactStore {
         stage: &str,
         key: &StageKey,
     ) -> Result<Option<T>, CbspError> {
-        let _span = cbsp_trace::span_labeled("store/get", || stage.to_string());
-        let path = self.object_path(key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err(&path, e)),
-        };
-        cbsp_trace::add("store/bytes_read", text.len() as u64);
-        let envelope: Value = serde_json::parse(&text)
-            .map_err(|e| corrupt(key, format!("unparseable envelope: {e}")))?;
-        let fields = envelope
-            .as_object()
-            .ok_or_else(|| corrupt(key, "envelope is not an object"))?;
-        let field = |name: &str| -> Result<&Value, CbspError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| corrupt(key, format!("envelope is missing `{name}`")))
-        };
+        self.get_blob(stage, key)?
+            .map(|blob| decode_json(key, &blob))
+            .transpose()
+    }
 
-        let schema = match field("schema")? {
-            Value::UInt(v) => *v as u32,
-            _ => return Err(corrupt(key, "schema is not an integer")),
-        };
-        if schema != SCHEMA_VERSION {
-            return Err(CbspError::ArtifactVersionMismatch {
-                key: key.as_hex().to_string(),
-                found: schema,
-                supported: SCHEMA_VERSION,
-            });
-        }
-        match field("stage")? {
-            Value::Str(s) if s == stage => {}
-            Value::Str(s) => {
-                return Err(corrupt(
-                    key,
-                    format!("stage mismatch: stored for `{s}`, requested `{stage}`"),
-                ))
+    /// The repair-as-miss read every cache goes through: the verified
+    /// blob for (`stage`, `key`), passed through `decode`.
+    ///
+    /// No file is a [`Lookup::Miss`]. A corrupt file, a blob of another
+    /// format version, or a payload `decode` rejects with a typed
+    /// error is a [`Lookup::Repair`] (counted in `store/repairs`): the
+    /// caller recomputes and overwrites it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CbspError::StoreIo`] (or any error `decode` returns
+    /// other than `ArtifactCorrupt`/`ArtifactVersionMismatch`).
+    pub fn lookup<T>(
+        &self,
+        stage: &str,
+        key: &StageKey,
+        decode: impl FnOnce(Blob) -> Result<T, CbspError>,
+    ) -> Result<Lookup<T>, CbspError> {
+        match self
+            .get_blob(stage, key)
+            .and_then(|b| b.map(decode).transpose())
+        {
+            Ok(Some(value)) => Ok(Lookup::Hit(value)),
+            Ok(None) => Ok(Lookup::Miss),
+            Err(CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. }) => {
+                cbsp_trace::add("store/repairs", 1);
+                Ok(Lookup::Repair)
             }
-            _ => return Err(corrupt(key, "stage is not a string")),
+            Err(other) => Err(other),
         }
-        match field("key")? {
-            Value::Str(s) if s == key.as_hex() => {}
-            _ => return Err(corrupt(key, "stored key does not match its filename")),
-        }
-        let checksum = match field("checksum")? {
-            Value::Str(s) => s.clone(),
-            _ => return Err(corrupt(key, "checksum is not a string")),
-        };
-        let payload = field("payload")?;
-        let actual = hex_digest(canonical_json(payload).as_bytes());
-        if actual != checksum {
-            return Err(corrupt(
-                key,
-                format!("checksum mismatch: stored {checksum}, computed {actual}"),
-            ));
-        }
-        let value = serde_json::from_value::<T>(payload.clone())
-            .map_err(|e| corrupt(key, format!("payload does not decode: {e}")))?;
-        Ok(Some(value))
     }
 
     /// Writes a run manifest (named by its run key).
@@ -462,10 +462,9 @@ impl ArtifactStore {
         Ok(out)
     }
 
-    fn walk_objects(
-        &self,
-        mut visit: impl FnMut(&Path, u64, Option<&str>),
-    ) -> Result<(), CbspError> {
+    /// Visits every object file under `objects/` (blobs and legacy
+    /// `.json` files; tmp files are skipped) with its size.
+    fn walk_objects(&self, mut visit: impl FnMut(&Path, u64)) -> Result<(), CbspError> {
         let objects = self.root.join("objects");
         for shard in std::fs::read_dir(&objects).map_err(|e| io_err(&objects, e))? {
             let shard = shard.map_err(|e| io_err(&objects, e))?.path();
@@ -474,34 +473,13 @@ impl ArtifactStore {
             }
             for entry in std::fs::read_dir(&shard).map_err(|e| io_err(&shard, e))? {
                 let path = entry.map_err(|e| io_err(&shard, e))?.path();
-                let is_blob = match path.extension().and_then(|e| e.to_str()) {
-                    Some("json") => false,
-                    Some("blob") => true,
-                    _ => continue,
-                };
-                let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                // Best-effort stage attribution for stats; a file that
-                // doesn't parse still counts toward totals. Blob stage
-                // names sit in the fixed header — no JSON parse needed.
-                let stage = if is_blob {
-                    read_blob_stage(&path)
-                } else {
-                    std::fs::read_to_string(&path)
-                        .ok()
-                        .and_then(|text| serde_json::parse(&text).ok())
-                        .and_then(|v| {
-                            v.as_object().and_then(|fields| {
-                                fields
-                                    .iter()
-                                    .find(|(k, _)| k == "stage")
-                                    .and_then(|(_, v)| match v {
-                                        Value::Str(s) => Some(s.clone()),
-                                        _ => None,
-                                    })
-                            })
-                        })
-                };
-                visit(&path, bytes, stage.as_deref());
+                if matches!(
+                    path.extension().and_then(|e| e.to_str()),
+                    Some("blob" | "json")
+                ) {
+                    let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
+                    visit(&path, bytes);
+                }
             }
         }
         Ok(())
@@ -514,25 +492,30 @@ impl ArtifactStore {
     /// Returns [`CbspError::StoreIo`] if the store cannot be listed.
     pub fn stats(&self) -> Result<StoreStats, CbspError> {
         let mut stats = StoreStats::default();
-        self.walk_objects(|_, bytes, stage| {
+        self.walk_objects(|path, bytes| {
+            let file = StageStats {
+                artifacts: 1,
+                bytes,
+            };
             stats.artifacts += 1;
             stats.bytes += bytes;
-            let entry = stats
-                .per_stage
-                .entry(stage.unwrap_or("<unknown>").to_string())
-                .or_default();
-            entry.artifacts += 1;
-            entry.bytes += bytes;
+            // Best-effort attribution from the blob header; a file that
+            // doesn't parse still counts toward totals.
+            let stage = read_blob_stage(path).unwrap_or_else(|| "<unknown>".to_string());
+            stats.per_stage.entry(stage).or_default().add(&file);
         })?;
         stats.manifests = self.manifests()?.len() as u64;
         Ok(stats)
     }
 
-    /// Removes every artifact not referenced by any run manifest.
+    /// Removes every blob not referenced by any run manifest, and every
+    /// legacy `.json` object. Safe to run concurrently with another
+    /// sweep: a file already gone counts as the other sweep's removal.
     ///
     /// # Errors
     ///
-    /// Returns [`CbspError::StoreIo`] if the store cannot be listed.
+    /// Returns [`CbspError::StoreIo`] if the store cannot be listed or
+    /// a file cannot be removed.
     pub fn gc(&self) -> Result<GcReport, CbspError> {
         let mut referenced = std::collections::BTreeSet::new();
         for manifest in self.manifests()? {
@@ -541,26 +524,158 @@ impl ArtifactStore {
             }
         }
         let mut report = GcReport::default();
-        let mut doomed: Vec<PathBuf> = Vec::new();
-        self.walk_objects(|path, bytes, _| {
-            let key = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("")
-                .to_string();
-            if referenced.contains(&key) {
+        let mut doomed: Vec<(PathBuf, u64)> = Vec::new();
+        self.walk_objects(|path, bytes| {
+            let is_blob = path.extension().is_some_and(|e| e == "blob");
+            let key = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+            if is_blob && referenced.contains(key) {
                 report.kept += 1;
             } else {
-                report.removed += 1;
-                report.reclaimed_bytes += bytes;
-                doomed.push(path.to_path_buf());
+                doomed.push((path.to_path_buf(), bytes));
             }
         })?;
-        for path in doomed {
-            std::fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
+        for (path, bytes) in doomed {
+            match std::fs::remove_file(&path) {
+                Ok(()) => {
+                    report.removed += 1;
+                    report.reclaimed_bytes += bytes;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(io_err(&path, e)),
+            }
         }
         cbsp_trace::add("store/evicted", report.removed);
         cbsp_trace::add("store/evicted_bytes", report.reclaimed_bytes);
         Ok(report)
+    }
+}
+
+/// What [`ArtifactStore::lookup`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Lookup<T> {
+    /// A verified, decoded artifact.
+    Hit(T),
+    /// No artifact under the key.
+    Miss,
+    /// A corrupt or undecodable artifact, to be recomputed and
+    /// overwritten.
+    Repair,
+}
+
+/// Decodes a stage artifact's blob: its payload is the value's JSON
+/// and its meta section is empty. The JSON payload length is counted
+/// in `store/bytes_read`.
+///
+/// # Errors
+///
+/// Returns [`CbspError::ArtifactCorrupt`] if the blob is not a JSON
+/// artifact of type `T`.
+pub(crate) fn decode_json<T: serde::de::DeserializeOwned>(
+    key: &StageKey,
+    blob: &Blob,
+) -> Result<T, CbspError> {
+    if !blob.meta.is_empty() {
+        return Err(corrupt(key, "a JSON artifact has an empty meta section"));
+    }
+    cbsp_trace::add("store/bytes_read", blob.payload.len() as u64);
+    std::str::from_utf8(&blob.payload)
+        .map_err(|e| corrupt(key, format!("payload is not UTF-8: {e}")))
+        .and_then(|text| {
+            serde_json::from_str(text)
+                .map_err(|e| corrupt(key, format!("payload does not decode: {e}")))
+        })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn temp_store(tag: &str) -> (ArtifactStore, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("cbsp-store-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (ArtifactStore::open(&dir).expect("store opens"), dir)
+    }
+
+    #[test]
+    fn breakdown_counts_only_pipeline_namespaces_as_pipeline_stages() {
+        let (store, dir) = temp_store("breakdown");
+        let key = |n: u64| stage_key("breakdown", &[Value::UInt(n)]);
+        let stages = [
+            "profile",
+            "vli@fuzzy",
+            "simpoint@stratified",
+            "map@bbv+mav@early0.25@fuzzy",
+            "cluster",
+            TRACE_STAGE,
+            TRACE_SLICE_STAGE,
+        ];
+        for (n, stage) in (0u64..).zip(stages) {
+            store.put(stage, &key(n), &Value::UInt(n)).expect("puts");
+        }
+        let legacy = store.blob_path(&key(99)).with_extension("json");
+        std::fs::create_dir_all(legacy.parent().expect("shard")).expect("shard dir");
+        std::fs::write(&legacy, "{}").expect("writes a legacy file");
+
+        let stats = store.stats().expect("stats");
+        assert_eq!(stats.artifacts, 8);
+        assert_eq!(stats.per_stage["<unknown>"].artifacts, 1);
+        let split = stats.breakdown();
+        let count = |s: &StageStats| s.artifacts;
+        assert_eq!(count(&split.pipeline), 4);
+        assert_eq!(count(&split.traces), 1);
+        assert_eq!(count(&split.slices), 1);
+        assert_eq!(count(&split.other), 2, "shard map and legacy file");
+        let lanes: Vec<(&str, u64)> = split
+            .lanes
+            .iter()
+            .map(|(lane, s)| (lane.as_str(), s.artifacts))
+            .collect();
+        assert_eq!(
+            lanes,
+            [
+                ("bbv", 1),
+                ("bbv+mav@early0.25@fuzzy", 1),
+                ("fuzzy", 1),
+                ("stratified", 1)
+            ]
+        );
+        let parts = [&split.pipeline, &split.traces, &split.slices, &split.other];
+        assert_eq!(parts.iter().map(|s| s.bytes).sum::<u64>(), stats.bytes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two sweeps over one store race to delete the same files; a file
+    /// the other sweep removed first is not an error, and each removal
+    /// is counted by exactly one sweep.
+    #[test]
+    fn concurrent_gc_sweeps_both_succeed_and_count_each_file_once() {
+        let (store, dir) = temp_store("gc-race");
+        let n = 400u64;
+        for i in 0..n {
+            let key = stage_key("gc-race", &[Value::UInt(i)]);
+            store.put_blob("gc-race", &key, &[], b"x").expect("puts");
+        }
+        let barrier = std::sync::Barrier::new(2);
+        let reports: Vec<Result<GcReport, CbspError>> = std::thread::scope(|scope| {
+            let sweeps: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        store.gc()
+                    })
+                })
+                .collect();
+            sweeps
+                .into_iter()
+                .map(|h| h.join().expect("sweep"))
+                .collect()
+        });
+        let removed: u64 = reports
+            .into_iter()
+            .map(|r| r.expect("a concurrent sweep succeeds").removed)
+            .sum();
+        assert_eq!(removed, n);
+        assert_eq!(store.stats().expect("stats").artifacts, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

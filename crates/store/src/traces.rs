@@ -13,26 +13,24 @@
 //!   pipeline stages use — so repeat experiment runs skip
 //!   interpretation entirely.
 //!
-//! ## The binary blob tier
+//! ## Blob encodings
 //!
-//! Trace payloads are megabytes of varint event bytes, so persistent
-//! trace and slice artifacts live in the store's **blob tier** (see
-//! [`crate::blob`]) rather than in JSON envelopes: raw checksummed
-//! binary files under the same content digests the pipeline stages
-//! use, with the event bytes stored verbatim. The read path is
-//! zero-copy — the payload buffer that comes off disk *becomes*
-//! [`EventTrace::bytes`], with no re-encode or intermediate copy — and
-//! a sliced-trace manifest's per-slice blobs are prefetched in parallel
-//! over a [`cbsp_par::Pool`] (independent files; the index-ordered
-//! merge keeps results byte-identical at any thread count).
+//! Trace payloads are megabytes of varint event bytes. Like every store
+//! artifact they are blobs (see [`crate::blob`]), but with the event
+//! bytes as the raw payload and the fixed fields in the meta section
+//! rather than JSON. The read path is zero-copy — the payload buffer
+//! that comes off disk *becomes* [`EventTrace::bytes`], with no
+//! re-encode or intermediate copy — and a sliced-trace manifest's
+//! per-slice blobs are prefetched in parallel over a
+//! [`cbsp_par::Pool`] (independent files; the index-ordered merge
+//! keeps results byte-identical at any thread count).
 //!
-//! The blob is the only on-disk format for `trace`/`trace_slice`
-//! artifacts. Corrupt or truncated blobs follow the repair-as-miss
-//! contract: typed errors, re-record, rewrite in place. A file of any
-//! other format under a trace key (such as a JSON envelope written by
-//! an older version) is never read: the lookup misses, re-records, and
-//! writes the blob beside it, and `gc` evicts the orphan because no run
-//! manifest references trace keys.
+//! Corrupt or truncated blobs follow the repair-as-miss contract of
+//! [`ArtifactStore::lookup`]: typed errors, re-record, rewrite in
+//! place. A file of any other format under a trace key (such as a JSON
+//! envelope written by an older version) is never read: the lookup
+//! misses, re-records, and writes the blob beside it, and `gc` evicts
+//! the orphan.
 
 use cbsp_core::{weighted_cpi, weighted_cpi_with, CbspError, CrossBinaryResult};
 use cbsp_par::Pool;
@@ -47,7 +45,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::blob::{derived_key, Blob};
-use crate::store::{content_hash, stage_key, ArtifactStore, StageKey};
+use crate::store::{content_hash, corrupt, stage_key, ArtifactStore, Lookup, StageKey};
 use serde::Value;
 
 /// Stage name traces are stored under.
@@ -328,25 +326,15 @@ fn put_slice_blobs(
 // The cache
 // ---------------------------------------------------------------------
 
-/// How a [`TraceCache`] reaches its persistent tier: not at all,
-/// through a borrow scoped to one experiment, or through shared
-/// ownership for long-lived holders (the `cbsp-serve` daemon).
-#[derive(Debug)]
-enum StoreTier<'s> {
-    None,
-    Borrowed(&'s ArtifactStore),
-    Shared(Arc<ArtifactStore>),
-}
-
 /// A two-tier (memory + optional store) cache of recorded event traces.
 ///
 /// Cheap to construct; scope one per experiment so its in-memory tier
 /// holds only the handful of binaries that experiment touches — or
-/// build one with [`TraceCache::shared`] and keep it for a process
-/// lifetime, as the serving daemon does.
+/// keep one for a process lifetime, as the serving daemon does, so
+/// both tiers stay warm across requests.
 #[derive(Debug)]
-pub struct TraceCache<'s> {
-    store: StoreTier<'s>,
+pub struct TraceCache {
+    store: Option<ArtifactStore>,
     mem: Mutex<HashMap<String, Arc<EventTrace>>>,
     /// In-memory tier of the sliced-trace path: per-simpoint slice
     /// manifests keyed like the `trace_slice` store namespace.
@@ -355,15 +343,13 @@ pub struct TraceCache<'s> {
     prefetch: Pool,
 }
 
-impl<'s> TraceCache<'s> {
+impl TraceCache {
     /// Creates a cache backed by `store` (pass `None` for purely
-    /// in-memory record-once behaviour).
-    pub fn new(store: Option<&'s ArtifactStore>) -> Self {
+    /// in-memory record-once behaviour). The cache keeps its own
+    /// handle on the store.
+    pub fn new(store: Option<&ArtifactStore>) -> Self {
         TraceCache {
-            store: match store {
-                Some(s) => StoreTier::Borrowed(s),
-                None => StoreTier::None,
-            },
+            store: store.cloned(),
             mem: Mutex::new(HashMap::new()),
             slices: Mutex::new(HashMap::new()),
             prefetch: Pool::auto(),
@@ -371,21 +357,8 @@ impl<'s> TraceCache<'s> {
     }
 
     /// Creates a cache with no persistent tier.
-    pub fn in_memory() -> TraceCache<'static> {
+    pub fn in_memory() -> TraceCache {
         TraceCache::new(None)
-    }
-
-    /// Creates a cache that co-owns its backing store, freeing the
-    /// holder from the borrow scope [`TraceCache::new`] imposes. A
-    /// long-lived server keeps one of these so both the in-memory tier
-    /// and the on-disk tier stay warm across requests.
-    pub fn shared(store: Arc<ArtifactStore>) -> TraceCache<'static> {
-        TraceCache {
-            store: StoreTier::Shared(store),
-            mem: Mutex::new(HashMap::new()),
-            slices: Mutex::new(HashMap::new()),
-            prefetch: Pool::auto(),
-        }
     }
 
     /// Overrides the pool slice-blob prefetches fan out over (the
@@ -397,12 +370,19 @@ impl<'s> TraceCache<'s> {
         self
     }
 
-    /// The persistent tier, whichever way it is held.
-    fn store(&self) -> Option<&ArtifactStore> {
+    /// [`ArtifactStore::lookup`] through the persistent tier (always a
+    /// miss without one); `decode` returning `None` is corruption.
+    fn lookup<T>(
+        &self,
+        stage: &str,
+        key: &StageKey,
+        decode: impl FnOnce(Blob) -> Option<T>,
+    ) -> Result<Lookup<T>, CbspError> {
         match &self.store {
-            StoreTier::None => None,
-            StoreTier::Borrowed(s) => Some(s),
-            StoreTier::Shared(s) => Some(s),
+            Some(store) => store.lookup(stage, key, |blob| {
+                decode(blob).ok_or_else(|| corrupt(key, format!("undecodable `{stage}` blob")))
+            }),
+            None => Ok(Lookup::Miss),
         }
     }
 
@@ -430,35 +410,20 @@ impl<'s> TraceCache<'s> {
             return Ok(Arc::clone(t));
         }
 
-        let mut repair = false;
-        if let Some(store) = self.store() {
-            match store.get_blob(TRACE_STAGE, &key) {
-                Ok(Some(blob)) => match decode_trace_blob(blob) {
-                    Some(trace) => {
-                        cbsp_trace::add("sim/trace_cache_hits", 1);
-                        let trace = Arc::new(trace);
-                        self.insert(mem_key, &trace);
-                        return Ok(trace);
-                    }
-                    None => {
-                        repair = true;
-                        cbsp_trace::add("store/repairs", 1);
-                    }
-                },
-                Ok(None) => {}
-                Err(
-                    CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. },
-                ) => {
-                    repair = true;
-                    cbsp_trace::add("store/repairs", 1);
-                }
-                Err(other) => return Err(other),
+        let repair = match self.lookup(TRACE_STAGE, &key, decode_trace_blob)? {
+            Lookup::Hit(trace) => {
+                cbsp_trace::add("sim/trace_cache_hits", 1);
+                let trace = Arc::new(trace);
+                self.insert(mem_key, &trace);
+                return Ok(trace);
             }
-        }
+            Lookup::Miss => false,
+            Lookup::Repair => true,
+        };
 
         cbsp_trace::add("sim/trace_cache_misses", 1);
         let trace = Arc::new(record_trace(binary, input));
-        if let Some(store) = self.store() {
+        if let Some(store) = &self.store {
             let meta = trace_blob_meta(&trace);
             if repair {
                 store.put_blob_overwrite(TRACE_STAGE, &key, &meta, &trace.bytes)?;
@@ -535,41 +500,28 @@ impl<'s> TraceCache<'s> {
             return Ok(Arc::clone(s));
         }
 
-        let mut repair = false;
-        if let Some(store) = self.store() {
-            match store.get_blob(TRACE_SLICE_STAGE, &key) {
-                Ok(Some(blob)) => match decode_slice_manifest(&blob) {
-                    Some(man) => match self.fetch_slice_blobs(store, &key, &man)? {
-                        Some(slices) => {
-                            cbsp_trace::add("sim/full_replay_avoided", 1);
-                            let sliced = Arc::new(SlicedTrace {
-                                full: man.full,
-                                intervals: man.intervals,
-                                slices,
-                            });
-                            self.insert_slices(mem_key, &sliced);
-                            return Ok(sliced);
-                        }
-                        None => {
-                            repair = true;
-                            cbsp_trace::add("store/repairs", 1);
-                        }
-                    },
-                    None => {
-                        repair = true;
-                        cbsp_trace::add("store/repairs", 1);
-                    }
-                },
-                Ok(None) => {}
-                Err(
-                    CbspError::ArtifactCorrupt { .. } | CbspError::ArtifactVersionMismatch { .. },
-                ) => {
-                    repair = true;
-                    cbsp_trace::add("store/repairs", 1);
+        let repair = match self.lookup(TRACE_SLICE_STAGE, &key, |b| decode_slice_manifest(&b))? {
+            Lookup::Hit(man) => match self.fetch_slice_blobs(&key, &man)? {
+                Some(slices) => {
+                    cbsp_trace::add("sim/full_replay_avoided", 1);
+                    let sliced = Arc::new(SlicedTrace {
+                        full: man.full,
+                        intervals: man.intervals,
+                        slices,
+                    });
+                    self.insert_slices(mem_key, &sliced);
+                    return Ok(sliced);
                 }
-                Err(other) => return Err(other),
-            }
-        }
+                // The manifest names a slice that is missing or
+                // corrupt: rewrite the manifest and all its slices.
+                None => {
+                    cbsp_trace::add("store/repairs", 1);
+                    true
+                }
+            },
+            Lookup::Miss => false,
+            Lookup::Repair => true,
+        };
 
         // Materialize: one full replay cuts every requested slice. A
         // full trace that fails to decode can only be a corrupt stored
@@ -585,7 +537,7 @@ impl<'s> TraceCache<'s> {
             }
         };
         let sliced = Arc::new(sliced);
-        if let Some(store) = self.store() {
+        if let Some(store) = &self.store {
             put_slice_blobs(store, &key, full.n_procs, full.n_loops, &sliced, repair)?;
         }
         self.insert_slices(mem_key, &sliced);
@@ -599,7 +551,6 @@ impl<'s> TraceCache<'s> {
     /// independent of thread count.
     fn fetch_slice_blobs(
         &self,
-        store: &ArtifactStore,
         key: &StageKey,
         man: &SliceManifest,
     ) -> Result<Option<Vec<TraceSlice>>, CbspError> {
@@ -611,17 +562,13 @@ impl<'s> TraceCache<'s> {
             .run_indexed(man.slice_intervals.len(), |i| {
                 let interval = man.slice_intervals[i];
                 let skey = derived_key(key, "slice", interval);
-                match store.get_blob(TRACE_SLICE_STAGE, &skey) {
-                    Ok(Some(blob)) => {
-                        Ok(decode_slice_blob(interval, man.n_procs, man.n_loops, blob))
-                    }
-                    Ok(None) => Ok(None),
-                    Err(
-                        CbspError::ArtifactCorrupt { .. }
-                        | CbspError::ArtifactVersionMismatch { .. },
-                    ) => Ok(None),
-                    Err(other) => Err(other),
-                }
+                let found = self.lookup(TRACE_SLICE_STAGE, &skey, |blob| {
+                    decode_slice_blob(interval, man.n_procs, man.n_loops, blob)
+                })?;
+                Ok(match found {
+                    Lookup::Hit(slice) => Some(slice),
+                    Lookup::Miss | Lookup::Repair => None,
+                })
             })
             .into_iter()
             .collect();
@@ -634,7 +581,7 @@ impl<'s> TraceCache<'s> {
     fn rerecord(&self, binary: &Binary, input: &Input) -> Result<Arc<EventTrace>, CbspError> {
         let key = trace_key(binary, input);
         let trace = Arc::new(record_trace(binary, input));
-        if let Some(store) = self.store() {
+        if let Some(store) = &self.store {
             store.put_blob_overwrite(TRACE_STAGE, &key, &trace_blob_meta(&trace), &trace.bytes)?;
         }
         self.insert(key.as_hex().to_string(), &trace);
@@ -698,7 +645,7 @@ impl<'s> TraceCache<'s> {
                 .lock()
                 .expect("slice cache lock")
                 .remove(key.as_hex());
-            if let Some(store) = self.store() {
+            if let Some(store) = &self.store {
                 let full = self.get_or_record(binary, input)?;
                 let fresh = slice_trace(&full, config, boundaries, &wanted)
                     .expect("freshly sliced trace decodes");
@@ -899,7 +846,10 @@ mod tests {
         // The recording landed in the blob tier, not a JSON envelope.
         let key = trace_key(&bin, &input);
         assert!(store.contains_blob(&key), "trace stored as a blob");
-        assert!(!store.contains(&key), "no JSON envelope written");
+        assert!(
+            !envelope_path(&store, &key).exists(),
+            "no JSON envelope written"
+        );
 
         // A fresh cache (fresh process, conceptually) hits the store.
         let second = TraceCache::new(Some(&store));
@@ -1026,7 +976,10 @@ mod tests {
         // Manifest and one blob per selected interval, no envelopes.
         let key = trace_slice_key(&bin, &input, &config, &boundaries, &selected);
         assert!(store.contains_blob(&key), "manifest blob on disk");
-        assert!(!store.contains(&key), "no JSON envelope written");
+        assert!(
+            !envelope_path(&store, &key).exists(),
+            "no JSON envelope written"
+        );
         for s in &cold.slices {
             let skey = derived_key(&key, "slice", s.interval as u64);
             assert!(store.contains_blob(&skey), "slice {} blob", s.interval);
@@ -1135,11 +1088,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A JSON envelope under a trace or slice-manifest key (the format
-    /// older versions wrote) is never read: each lookup is a clean miss
-    /// that records and slices afresh, and `gc` evicts the orphan.
+    /// Path of the JSON envelope older versions wrote for `key`.
+    fn envelope_path(store: &ArtifactStore, key: &StageKey) -> std::path::PathBuf {
+        store.blob_path(key).with_extension("json")
+    }
+
+    /// Writes `payload` under `key` as a well-formed JSON envelope, the
+    /// format older versions stored stage artifacts in.
+    fn write_envelope(store: &ArtifactStore, stage: &str, key: &StageKey, payload: Value) {
+        let checksum = crate::hex_digest(crate::canonical_json(&payload).as_bytes());
+        let envelope = Value::Object(vec![
+            (
+                "schema".to_string(),
+                Value::UInt(u64::from(crate::SCHEMA_VERSION)),
+            ),
+            ("stage".to_string(), Value::Str(stage.to_string())),
+            ("key".to_string(), Value::Str(key.as_hex().to_string())),
+            ("checksum".to_string(), Value::Str(checksum)),
+            ("payload".to_string(), payload),
+        ]);
+        let path = envelope_path(store, key);
+        std::fs::create_dir_all(path.parent().expect("shard")).expect("shard dir");
+        std::fs::write(&path, crate::canonical_json(&envelope)).expect("writes envelope");
+    }
+
+    /// A JSON envelope under a stage, trace or slice-manifest key (the
+    /// format older versions wrote) is never read: each lookup is a
+    /// clean miss that computes afresh and writes the blob beside it,
+    /// and `gc` evicts every envelope — even one whose key a run
+    /// manifest references.
     #[test]
     fn stale_envelopes_under_trace_keys_are_misses_that_gc_evicts() {
+        use crate::{pipeline_keys, CachePolicy, Orchestrator};
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
@@ -1147,19 +1127,28 @@ mod tests {
         let config = MemoryConfig::table1();
         let (store, dir) = temp_store("stale-envelope");
 
+        let pipeline = cbsp_core::CbspConfig {
+            interval_target: 20_000,
+            ..cbsp_core::CbspConfig::default()
+        };
+        let vkey = pipeline_keys(&[&bin], &input, &pipeline)
+            .expect("keys derive")
+            .vli;
         let tkey = trace_key(&bin, &input);
         let skey = trace_slice_key(&bin, &input, &config, &boundaries, &selected);
+        write_envelope(&store, "vli", &vkey, Value::UInt(1));
         let stale = Value::Object(vec![("data".to_string(), Value::Str("AAAA".to_string()))]);
-        store
-            .put_overwrite(TRACE_STAGE, &tkey, &stale)
-            .expect("writes trace envelope");
-        store
-            .put_overwrite(TRACE_SLICE_STAGE, &skey, &Value::UInt(3))
-            .expect("writes slice envelope");
+        write_envelope(&store, TRACE_STAGE, &tkey, stale);
+        write_envelope(&store, TRACE_SLICE_STAGE, &skey, Value::UInt(3));
 
         let cache = TraceCache::new(Some(&store));
         let recorder = Arc::new(cbsp_trace::Recorder::new());
         let installed = recorder.install();
+        let (_, run) = Orchestrator::new(&store, CachePolicy::ReadWrite)
+            .run_cross_binary(&[&bin], &input, &pipeline, "stale")
+            .expect("pipeline runs");
+        let stage_counters = cbsp_trace::snapshot().counters;
+        cbsp_trace::reset();
         let trace = cache.get_or_record(&bin, &input).expect("records");
         let trace_counters = cbsp_trace::snapshot().counters;
         cbsp_trace::reset();
@@ -1169,10 +1158,11 @@ mod tests {
         let slice_counters = cbsp_trace::snapshot().counters;
         drop(installed);
 
+        assert_eq!(run.hits(), 0, "the vli envelope is not a hit");
         assert_eq!(trace_counters.get("sim/trace_cache_misses"), Some(&1));
         assert_eq!(trace_counters.get("sim/trace_cache_hits"), None);
         assert_eq!(slice_counters.get("sim/full_replay_avoided"), None);
-        for counters in [&trace_counters, &slice_counters] {
+        for counters in [&stage_counters, &trace_counters, &slice_counters] {
             assert_eq!(counters.get("store/repairs"), None, "a miss, not a repair");
         }
         assert_eq!(*trace, record_trace(&bin, &input));
@@ -1181,18 +1171,21 @@ mod tests {
             .expect("slices");
         assert_eq!(*sliced, *fresh);
         // The blobs landed beside the untouched envelopes.
-        for key in [&tkey, &skey] {
-            assert!(store.contains_blob(key) && store.contains(key));
+        for key in [&vkey, &tkey, &skey] {
+            assert!(store.contains_blob(key) && envelope_path(&store, key).is_file());
         }
 
-        // No run manifest references trace keys, so gc takes both
-        // envelopes along with the trace, manifest and slice blobs.
+        // gc keeps the manifest-referenced stage blobs and takes all
+        // three envelopes (the vli one although the manifest names its
+        // key) along with the trace, manifest and slice blobs.
         let report = store.gc().expect("gc runs");
-        assert_eq!(report.removed, 4 + sliced.slices.len() as u64);
-        assert_eq!(report.kept, 0);
-        for key in [&tkey, &skey] {
-            assert!(!store.contains(key) && !store.contains_blob(key));
+        assert_eq!(report.kept, run.outcomes.len() as u64);
+        assert_eq!(report.removed, 5 + sliced.slices.len() as u64);
+        for key in [&vkey, &tkey, &skey] {
+            assert!(!envelope_path(&store, key).exists());
         }
+        assert!(store.contains_blob(&vkey));
+        assert!(!store.contains_blob(&tkey) && !store.contains_blob(&skey));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

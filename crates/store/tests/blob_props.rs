@@ -36,9 +36,14 @@ fn key_of(salt: u64) -> StageKey {
     stage_key("blob-prop", &[Value::UInt(salt)])
 }
 
-/// Stage names within the header's 15-byte budget.
+/// Stage names of every length the header's one-byte prefix allows,
+/// lane namespaces such as `map@bbv+mav@early0.25@fuzzy` included.
 fn stage_name() -> impl Strategy<Value = String> {
-    (0usize..4).prop_map(|i| ["trace", "trace_slice", "t", "abcdefghijklmno"][i].to_string())
+    prop_oneof![
+        (0usize..3)
+            .prop_map(|i| ["trace", "trace_slice", "map@bbv+mav@early0.25@fuzzy"][i].to_string()),
+        vec(0x20u8..0x7f, 0..=255).prop_map(|b| String::from_utf8(b).expect("ascii")),
+    ]
 }
 
 proptest! {

@@ -103,7 +103,7 @@ fn a_corrupt_vli_artifact_is_a_miss_that_is_rewritten() {
     assert_eq!(report.misses(), refs.len() + 4);
 
     let keys = pipeline_keys(&refs, &input, &config()).expect("keys derive");
-    let path = store.object_path(&keys.vli);
+    let path = store.blob_path(&keys.vli);
     let garbage = b"{\"not\": \"an artifact\"".to_vec();
     std::fs::write(&path, &garbage).expect("overwrite the vli artifact");
 
