@@ -1,20 +1,18 @@
-//! Record-once replay vs direct interpretation: the cost of a detailed
-//! simulation pass as (a) a live interpreter run, (b) a replay of an
-//! in-memory event trace, (c) a replay served through the
-//! content-addressed trace cache (decode-from-store included), and
-//! (d) per-simpoint slice replays — the sliced-trace estimate path,
-//! which touches only the selected intervals' bytes.
+//! Replay vs direct interpretation: the cost of a detailed simulation
+//! pass as (a) a live interpreter run, (b) a replay of an in-memory
+//! event trace, (c) cutting per-simpoint slices from a live run — the
+//! sliced estimate's cold path — and (d) per-simpoint slice replays —
+//! its warm path, which touches only the selected intervals' bytes.
 
 use cbsp_profile::{ExecPoint, MarkerRef};
 use cbsp_program::{
     compile, run, workloads, Binary, CompileTarget, Input, Marker, NullSink, Scale, TraceSink,
 };
 use cbsp_sim::{
-    record_trace, replay, replay_full, replay_slice, simulate_full, slice_trace, MemoryConfig,
+    record_trace, replay, replay_full, replay_slice, simulate_full, simulate_slices, slice_trace,
+    MemoryConfig,
 };
-use cbsp_store::{ArtifactStore, TraceCache};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::path::PathBuf;
 
 /// Counts marker executions to derive in-order [`ExecPoint`]
 /// boundaries without involving the profiling pipeline.
@@ -62,13 +60,6 @@ fn setup(name: &str) -> (Binary, Input) {
     (compile(&prog, CompileTarget::W32_O2), Input::train())
 }
 
-fn temp_store(tag: &str) -> (ArtifactStore, PathBuf) {
-    let dir = std::env::temp_dir().join(format!("cbsp-bench-replay-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = ArtifactStore::open(&dir).expect("store opens");
-    (store, dir)
-}
-
 fn bench_interpret_vs_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_replay");
     group.sample_size(10);
@@ -109,6 +100,13 @@ fn bench_interpret_vs_replay(c: &mut Criterion) {
         let boundaries = marker_boundaries(&bin, &input, 8);
         let selected: Vec<usize> = (0..=boundaries.len()).step_by(2).collect();
         let sliced = slice_trace(&trace, &mem, &boundaries, &selected).expect("trace slices");
+
+        // Cutting those slices from a live run: one interpretation
+        // straight into the cutting sink, no full trace recorded.
+        group.bench_with_input(BenchmarkId::new("slice_live", name), &name, |b, _| {
+            b.iter(|| black_box(simulate_slices(&bin, &input, &mem, &boundaries, &selected)))
+        });
+
         group.bench_with_input(BenchmarkId::new("replay_sliced", name), &name, |b, _| {
             b.iter(|| {
                 let mut instrs = 0u64;
@@ -133,26 +131,6 @@ fn bench_interpret_vs_replay(c: &mut Criterion) {
                 black_box(events)
             })
         });
-
-        // Replay through a store-backed cache with a cold in-memory
-        // tier (rebuilt each iteration), served from the blob tier:
-        // header validation plus one checksum pass over bytes that are
-        // adopted verbatim as the trace.
-        let (store, dir) = temp_store(&format!("{name}-blob"));
-        let primer = TraceCache::new(Some(&store));
-        primer.get_or_record(&bin, &input).expect("store usable");
-        group.bench_with_input(
-            BenchmarkId::new("store_replay_blob", name),
-            &name,
-            |b, _| {
-                b.iter(|| {
-                    let cache = TraceCache::new(Some(&store));
-                    let trace = cache.get_or_record(&bin, &input).expect("store usable");
-                    black_box(replay_full(&trace, &mem).expect("decodes"))
-                })
-            },
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
     group.finish();
 }

@@ -6,7 +6,7 @@
 use cbsp_core::CbspConfig;
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
 use cbsp_store::sha256::{compress_blocks, compress_blocks_portable, INITIAL_STATE};
-use cbsp_store::{ArtifactStore, CachePolicy, Orchestrator, TraceCache};
+use cbsp_store::{ArtifactStore, CachePolicy, Orchestrator};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::path::PathBuf;
 
@@ -89,34 +89,6 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cold-process trace read path: each iteration builds a fresh
-/// trace cache (empty memory tier) over a primed store and loads all
-/// four recorded binaries' traces from the blob tier (header check,
-/// checksum pass, bytes adopted verbatim).
-fn bench_blob_cold(c: &mut Criterion) {
-    let mut group = c.benchmark_group("store");
-    group.sample_size(10);
-    for name in ["gzip", "gcc"] {
-        let (binaries, input, _) = setup(name);
-
-        let (store, dir) = temp_store(&format!("blob-cold-{name}"));
-        let primer = TraceCache::new(Some(&store));
-        for bin in &binaries {
-            primer.get_or_record(bin, &input).expect("store usable");
-        }
-        group.bench_with_input(BenchmarkId::new("blob_cold", name), &name, |b, _| {
-            b.iter(|| {
-                let cache = TraceCache::new(Some(&store));
-                for bin in &binaries {
-                    black_box(cache.get_or_record(bin, &input).expect("store usable"));
-                }
-            })
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    group.finish();
-}
-
 /// The SHA-256 compression function over a 4 MiB buffer: the portable
 /// FIPS 180-4 code, and whatever `compress_blocks` dispatches to on
 /// this CPU (the SHA-NI kernel when the CPU has the SHA extensions).
@@ -142,5 +114,5 @@ fn bench_sha256(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cold_vs_warm, bench_blob_cold, bench_sha256);
+criterion_group!(benches, bench_cold_vs_warm, bench_sha256);
 criterion_main!(benches);

@@ -13,9 +13,8 @@ use cbsp_core::{
     relative_error, run_cross_binary, speedup, speedup_error, weighted_cpi_with, CbspConfig,
 };
 use cbsp_program::{compile_with, workloads, Binary, CompileOptions, CompileTarget, Input, Scale};
-use cbsp_sim::{replay_marker_sliced, IntervalSim, MemoryConfig};
+use cbsp_sim::{simulate_marker_sliced, IntervalSim, MemoryConfig};
 use cbsp_simpoint::{RepresentativePolicy, SimPointConfig};
-use cbsp_store::TraceCache;
 use std::fmt::Write as _;
 
 /// One ablation variant: a label plus the knobs it changes.
@@ -139,7 +138,6 @@ fn evaluate_variant(
     scale: Scale,
     variant: &Variant,
     mem: &MemoryConfig,
-    traces: &TraceCache,
 ) -> ([f64; 4], f64, usize, usize, usize) {
     let prog = workloads::by_name(name)
         .unwrap_or_else(|| panic!("unknown benchmark {name}"))
@@ -160,11 +158,7 @@ fn evaluate_variant(
     let mut cycles = [0.0f64; 4];
     let mut true_cycles = [0.0f64; 4];
     for (b, bin) in binaries.iter().enumerate() {
-        let trace = traces
-            .get_or_record(bin, &input)
-            .expect("in-memory trace cache is infallible");
-        let (full, mut ivs) = replay_marker_sliced(&trace, mem, &result.boundaries[b])
-            .expect("recorded trace decodes");
+        let (full, mut ivs) = simulate_marker_sliced(bin, &input, mem, &result.boundaries[b]);
         ivs.resize(result.interval_count(), IntervalSim::default());
         let cpis: Vec<f64> = ivs.iter().map(IntervalSim::cpi).collect();
         let est = weighted_cpi_with(&result.simpoint.points, &result.weights[b], &cpis);
@@ -195,14 +189,9 @@ pub fn run_ablations(
     let variants = standard_variants(base_interval);
     let mut acc = vec![(0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64); variants.len()];
     for name in names {
-        // One in-memory trace cache per benchmark: traces are keyed by
-        // binary content, so every variant that compiles the same four
-        // binaries (all but `inline_debug_lines`) replays the recording
-        // the first variant made instead of re-interpreting.
-        let traces = TraceCache::in_memory();
         for (vi, variant) in variants.iter().enumerate() {
             let (cpi_err, sp_err, mappable, intervals, k) =
-                evaluate_variant(name, scale, variant, mem, &traces);
+                evaluate_variant(name, scale, variant, mem);
             let a = &mut acc[vi];
             a.0 += cpi_err.iter().sum::<f64>() / 4.0;
             a.1 += sp_err;
@@ -299,11 +288,8 @@ mod tests {
             ..CompileOptions::default()
         };
         let mem = MemoryConfig::table1();
-        let traces = TraceCache::in_memory();
-        let (_, _, base_points, _, _) =
-            evaluate_variant("fma3d", Scale::Test, &base, &mem, &traces);
-        let (_, _, keep_points, _, _) =
-            evaluate_variant("fma3d", Scale::Test, &keep, &mem, &traces);
+        let (_, _, base_points, _, _) = evaluate_variant("fma3d", Scale::Test, &base, &mem);
+        let (_, _, keep_points, _, _) = evaluate_variant("fma3d", Scale::Test, &keep, &mem);
         assert!(
             keep_points >= base_points,
             "lines preserved: {keep_points} < baseline {base_points}"

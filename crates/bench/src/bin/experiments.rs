@@ -4,7 +4,7 @@
 //! experiments [all|table1|fig1|fig2|fig3|fig4|fig5|table2|table3]
 //!             [--scale test|train|ref] [--interval N]
 //!             [--benchmarks a,b,c] [--threads N] [--json FILE]
-//!             [--cache-dir DIR] [--no-trace-cache]
+//!             [--cache-dir DIR]
 //! ```
 //!
 //! CI regression gates (exit 0 = pass, 1 = regression, 2 = usage):
@@ -49,8 +49,6 @@ struct Options {
     threads: usize,
     json: Option<String>,
     cache_dir: Option<String>,
-    /// `false` disables persisting/reusing event traces in the store.
-    trace_cache: bool,
     /// Estimator lanes to evaluate head-to-head (empty = none).
     estimators: Vec<EstimatorConfig>,
     /// Fuzzy-mapping lane acceptance threshold (`None` = lane off).
@@ -71,7 +69,6 @@ fn parse_args() -> Options {
         threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
         json: None,
         cache_dir: None,
-        trace_cache: true,
         estimators: Vec::new(),
         fuzzy: None,
         baseline: "BENCH_simpoint.json".to_string(),
@@ -119,9 +116,6 @@ fn parse_args() -> Options {
                     args.next()
                         .unwrap_or_else(|| die("--cache-dir needs a path")),
                 );
-            }
-            "--no-trace-cache" => {
-                opts.trace_cache = false;
             }
             "--estimators" => {
                 opts.estimators = args
@@ -174,7 +168,7 @@ fn parse_args() -> Options {
                     "usage: experiments [all|table1|fig1..fig5|table2|table3|mpki|ablation|archsweep|warmup|softmarkers|seeds|fuzzy|perf [compare]|accuracy-gate] \
                      [--scale test|train|ref] [--interval N] \
                      [--benchmarks a,b,c] [--threads N] [--json FILE] [--cache-dir DIR] \
-                     [--no-trace-cache] [--estimators a,b,c] [--fuzzy[=T]] [--baseline FILE] \
+                     [--estimators a,b,c] [--fuzzy[=T]] [--baseline FILE] \
                      [--current FILE] [--ref FILE] [--tolerance T]"
                 );
                 std::process::exit(0);
@@ -466,7 +460,6 @@ fn main() {
                 &mem,
                 opts.threads,
                 store,
-                opts.trace_cache,
                 &opts.estimators,
             );
             if let Some(threshold) = opts.fuzzy {
@@ -541,7 +534,6 @@ fn main() {
         &mem,
         opts.threads,
         store,
-        opts.trace_cache,
         &opts.estimators,
     );
     if !results.estimators.is_empty() {

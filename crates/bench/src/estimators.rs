@@ -6,7 +6,7 @@
 //! binaries, the mappable set, the VLI boundaries (memory-access
 //! vectors are extra clustering payload, never a different cutting),
 //! and therefore the per-interval detailed simulations already
-//! computed by [`crate::experiment::evaluate_benchmark_cached`]. Per
+//! computed by [`crate::experiment::evaluate_benchmark_pooled`]. Per
 //! lane, only the clustering and weight recalculation rerun — against
 //! the artifact store when one is given, where each lane caches under
 //! its own namespace (see `cbsp_store::stage_namespaces`).

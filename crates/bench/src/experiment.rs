@@ -9,9 +9,9 @@ use cbsp_core::{
 };
 use cbsp_par::Pool;
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
-use cbsp_sim::{replay_fli_sliced, replay_marker_sliced, IntervalSim, MemoryConfig, SimStats};
+use cbsp_sim::{simulate_fli_sliced, simulate_marker_sliced, IntervalSim, MemoryConfig, SimStats};
 use cbsp_simpoint::SimPointConfig;
-use cbsp_store::{ArtifactStore, CachePolicy, Orchestrator, TraceCache};
+use cbsp_store::{ArtifactStore, CachePolicy, Orchestrator};
 use serde::{Deserialize, Serialize};
 
 /// The four standard binaries, in paper order.
@@ -232,28 +232,6 @@ pub fn evaluate_benchmark_pooled(
     store: Option<&ArtifactStore>,
     pool: &Pool,
 ) -> BenchmarkRun {
-    let traces = TraceCache::new(store);
-    evaluate_benchmark_cached(name, scale, interval_target, mem, store, &traces, pool)
-}
-
-/// [`evaluate_benchmark_pooled`] with an explicit [`TraceCache`]: each
-/// `(binary, input)` pair is interpreted (and recorded) at most once
-/// per cache; both detailed slicings are pool-parallel replays of the
-/// recorded traces. Pass a cache without a persistent tier to keep
-/// pipeline-stage caching while opting out of on-disk traces.
-///
-/// # Panics
-///
-/// Panics if `name` is not in the workload suite or the store fails.
-pub fn evaluate_benchmark_cached(
-    name: &str,
-    scale: Scale,
-    interval_target: u64,
-    mem: &MemoryConfig,
-    store: Option<&ArtifactStore>,
-    traces: &TraceCache,
-    pool: &Pool,
-) -> BenchmarkRun {
     let workload = workloads::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let prog = workload.build(scale);
     let input = Input::for_scale(scale);
@@ -294,25 +272,16 @@ pub fn evaluate_benchmark_cached(
         run_per_binary(&binaries[b], &input, interval_target, &fli_config)
     });
 
-    // Detailed simulation, sliced both ways: record each binary's
-    // event trace once (pool-parallel, served from the cache when this
-    // `(binary, input)` was already interpreted), then replay it into
-    // both sinks — eight pool-parallel replays instead of eight
-    // re-interpretations.
-    let event_traces = traces
-        .get_or_record_all(&bin_refs, &input, pool)
-        .expect("trace store usable");
+    // Detailed simulation, sliced both ways: eight pool-parallel live
+    // runs, one per (binary, slicing).
     let sims = pool.run_indexed(binaries.len() * 2, |j| {
         let b = j / 2;
         if j % 2 == 0 {
-            replay_marker_sliced(&event_traces[b], mem, &cross.boundaries[b])
-                .expect("recorded trace decodes")
+            simulate_marker_sliced(&binaries[b], &input, mem, &cross.boundaries[b])
         } else {
-            replay_fli_sliced(&event_traces[b], mem, interval_target)
-                .expect("recorded trace decodes")
+            simulate_fli_sliced(&binaries[b], &input, mem, interval_target)
         }
     });
-    drop(event_traces);
     let mut true_stats = [SimStats::default(); 4];
     let mut vli_interval_stats = Vec::with_capacity(4);
     let mut fli_interval_stats = Vec::with_capacity(4);

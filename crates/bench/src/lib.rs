@@ -42,9 +42,8 @@ pub use archsweep::{standard_archs, sweep_benchmark, ArchSweepRow, ArchVariant};
 pub use cluster_lane::{run_cluster_lane, ClusterLane, ClusterPoint};
 pub use estimators::{lane_rows, render_lanes, EstimatorLane, LaneBenchmark};
 pub use experiment::{
-    evaluate_benchmark, evaluate_benchmark_cached, evaluate_benchmark_pooled,
-    evaluate_benchmark_with, mpki_eval, phase_bias, BenchmarkEval, BenchmarkRun, MpkiEval, Pair,
-    PhaseBias, PhaseRow, SchemeEval,
+    evaluate_benchmark, evaluate_benchmark_pooled, evaluate_benchmark_with, mpki_eval, phase_bias,
+    BenchmarkEval, BenchmarkRun, MpkiEval, Pair, PhaseBias, PhaseRow, SchemeEval,
 };
 pub use fuzzy_lane::{
     destroyed_binaries, fuzzy_benchmark, render_fuzzy, run_fuzzy_lane, FuzzyBenchmark, FuzzyLane,

@@ -8,17 +8,18 @@
 //! stage, and checks that the two runs produce identical results (the
 //! engine's determinism guarantee, measured rather than assumed). The
 //! five pipeline stages are timed by a hook on `cbsp_core::run_stages`,
-//! the runner every caller uses. The
-//! `estimate` stage doubles as the sliced-trace cold/warm lane: the
-//! serial run materializes each binary's slice manifest, the parallel
-//! run answers from cached slices alone.
+//! the runner every caller uses. `detailed_sim` is one live
+//! marker-sliced simulation per binary. The `estimate` stage doubles
+//! as the slice tier's cold/warm lane: the serial run cuts each
+//! binary's slice manifest from a live run and stores it, the parallel
+//! run answers from the stored slices alone.
 
 use cbsp_core::{run_stages, CbspConfig, CbspError, CrossBinaryResult, Stage, StageHook};
 use cbsp_par::{available_threads, Pool};
 use cbsp_program::{
     compile, compile_cost_estimate_ns, workloads, Binary, CompileTarget, Input, Scale,
 };
-use cbsp_sim::{replay_marker_sliced, MemoryConfig};
+use cbsp_sim::{simulate_marker_sliced, MemoryConfig};
 use cbsp_simpoint::SimPointConfig;
 use cbsp_store::{ArtifactStore, CpiEstimate, TraceCache};
 use serde::{Deserialize, Serialize};
@@ -149,21 +150,17 @@ fn measure(
     );
 
     let t = Instant::now();
-    let event_traces = traces
-        .get_or_record_all(&bin_refs, &input, &pool)
-        .expect("trace cache records and serves the event traces");
     let sims = pool.run_indexed(binaries.len(), |b| {
-        replay_marker_sliced(&event_traces[b], mem, &cross.boundaries[b])
-            .expect("recorded trace decodes")
+        simulate_marker_sliced(&binaries[b], &input, mem, &cross.boundaries[b])
     });
     times.push(("detailed_sim", ms(t)));
     drop(sims);
 
     // CPI estimation from per-simpoint trace slices: the serial (first)
-    // run materializes the slice manifests — one cutting replay per
-    // binary — and the parallel run replays only the cached slices, so
-    // this stage measures the sliced-trace warm path against its own
-    // cold materialization.
+    // run cuts the slice manifests — one live cutting run per binary —
+    // and the parallel run replays only the stored slices, so this
+    // stage measures the slice tier's warm path against its own cold
+    // cut.
     let t = Instant::now();
     let estimates = {
         let _span = cbsp_trace::span_labeled("stage/estimate", || name.to_string());
@@ -204,11 +201,10 @@ pub fn run_perf(
 ) -> PerfReport {
     let threads = parallel_threads(threads);
     // One on-disk artifact store spans both runs, but each run gets its
-    // own trace cache (empty memory tier): the serial run pays the
-    // interpret+record cost once and persists blob-tier traces and
-    // slice manifests; the parallel run answers from the blob tier
-    // alone — exactly how a fresh experiment process re-simulates, so
-    // the detailed_sim and estimate rows measure the blob read path
+    // own trace cache (empty memory tier): the serial run cuts and
+    // persists the slice manifests; the parallel run answers its
+    // estimates from the blob tier alone — exactly how a fresh process
+    // re-queries, so the estimate row measures the blob read path
     // (including the slice-prefetch fan-out) rather than a same-process
     // memory hit.
     static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -484,18 +480,11 @@ pub fn render(r: &PerfReport) -> String {
             key("simpoint/hamerly_bound_skips"),
         ));
         out.push_str(&format!(
-            "replay engine: {} replays ({} events), trace cache {} hits / {} misses\n",
-            key("sim/replays"),
-            key("sim/replay_events"),
+            "slice cache: {} hits / {} cuts, {} slice replays reading {} bytes\n",
             key("sim/trace_cache_hits"),
             key("sim/trace_cache_misses"),
-        ));
-        out.push_str(&format!(
-            "sliced estimates: {} slice replays reading {} bytes, \
-             {} full replays avoided\n",
             key("sim/slice_replays"),
             key("sim/slice_bytes_read"),
-            key("sim/full_replay_avoided"),
         ));
     }
     if let Some(lane) = &r.serve {
@@ -531,23 +520,15 @@ mod tests {
         );
         assert!(r.metrics.contains_key("simpoint/kmeans_iterations"));
         assert!(
-            r.metrics.contains_key("sim/replays"),
-            "parallel detailed sim must be replay-driven, got {:?}",
-            r.metrics.keys().collect::<Vec<_>>()
-        );
-        assert!(
             r.metrics.get("sim/trace_cache_hits").copied().unwrap_or(0) >= 4,
-            "parallel run must hit the traces recorded by the serial run"
-        );
-        assert!(
-            r.metrics
-                .get("sim/full_replay_avoided")
-                .copied()
-                .unwrap_or(0)
-                >= 4,
             "parallel estimates must answer from the slice manifests \
-             the serial run materialized, got {:?}",
+             the serial run cut, got {:?}",
             r.metrics.keys().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            r.metrics.get("sim/trace_cache_misses"),
+            None,
+            "the parallel run cuts nothing"
         );
         assert!(
             r.metrics.get("sim/slice_replays").copied().unwrap_or(0) > 0,
@@ -569,8 +550,7 @@ mod tests {
         assert!(text.contains("detailed_sim"));
         assert!(text.contains("estimate"));
         assert!(text.contains("parallel-run counters"));
-        assert!(text.contains("replay engine"));
-        assert!(text.contains("sliced estimates"));
+        assert!(text.contains("slice cache"));
         let json = serde_json::to_string(&r).expect("serializes");
         assert!(json.contains("total_speedup"));
         assert!(json.contains("kmeans_iterations"));

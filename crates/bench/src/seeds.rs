@@ -7,9 +7,8 @@
 
 use cbsp_core::{run_cross_binary, weighted_cpi_with, CbspConfig};
 use cbsp_program::{compile, workloads, Binary, CompileTarget, Input, Scale};
-use cbsp_sim::{replay_marker_sliced, IntervalSim, MemoryConfig};
+use cbsp_sim::{simulate_marker_sliced, IntervalSim, MemoryConfig};
 use cbsp_simpoint::SimPointConfig;
-use cbsp_store::TraceCache;
 use std::fmt::Write as _;
 
 /// Stability of one benchmark's estimates across seeds.
@@ -70,10 +69,6 @@ pub fn seed_stability(name: &str, scale: Scale, interval_target: u64, seeds: usi
         .map(|&t| compile(&prog, t))
         .collect();
     let mem = MemoryConfig::table1();
-    // Only the clustering seed varies between runs — the binaries and
-    // input do not — so each binary is interpreted once and every
-    // per-seed detailed simulation is a replay of that recording.
-    let traces = TraceCache::in_memory();
 
     let mut est_speedups = Vec::with_capacity(seeds);
     let mut cpi_errs = Vec::with_capacity(seeds);
@@ -93,11 +88,7 @@ pub fn seed_stability(name: &str, scale: Scale, interval_target: u64, seeds: usi
         let mut true_cycles = [0.0f64; 4];
         let mut err = 0.0;
         for (b, bin) in binaries.iter().enumerate() {
-            let trace = traces
-                .get_or_record(bin, &input)
-                .expect("in-memory trace cache is infallible");
-            let (full, mut ivs) = replay_marker_sliced(&trace, &mem, &result.boundaries[b])
-                .expect("recorded trace decodes");
+            let (full, mut ivs) = simulate_marker_sliced(bin, &input, &mem, &result.boundaries[b]);
             ivs.resize(result.interval_count(), IntervalSim::default());
             let cpis: Vec<f64> = ivs.iter().map(IntervalSim::cpi).collect();
             let est = weighted_cpi_with(&result.simpoint.points, &result.weights[b], &cpis);

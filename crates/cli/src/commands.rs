@@ -15,11 +15,11 @@ use cbsp_store::{ArtifactStore, CachePolicy, Orchestrator, TraceCache};
 
 /// `cbsp list` — the benchmark suite.
 pub fn list(_opts: &Opts) -> Result<(), String> {
-    println!("available benchmarks ({}):", workloads::suite().len());
+    outln!("available benchmarks ({}):", workloads::suite().len());
     for w in workloads::suite() {
-        println!("  {:<10} {}", w.name, w.description);
+        outln!("  {:<10} {}", w.name, w.description);
     }
-    println!("\ntargets: 32u 32o 64u 64o   scales: test train ref");
+    outln!("\ntargets: 32u 32o 64u 64o   scales: test train ref");
     Ok(())
 }
 
@@ -55,7 +55,7 @@ pub fn compile_cmd(opts: &Opts) -> Result<(), String> {
         .map(str::to_string)
         .unwrap_or_else(|| format!("{}.json", binary.label()));
     write_json(&out, &binary)?;
-    println!(
+    outln!(
         "compiled {} -> {} ({} blocks, {} procs, {} loops)",
         binary.label(),
         out,
@@ -69,8 +69,8 @@ pub fn compile_cmd(opts: &Opts) -> Result<(), String> {
 /// `cbsp inspect <binary.json>` — symbol table, loops, layout.
 pub fn inspect(opts: &Opts) -> Result<(), String> {
     let binary: Binary = read_json(opts.positional(0, "binary file")?)?;
-    println!("binary {}", binary.label());
-    println!(
+    outln!("binary {}", binary.label());
+    outln!(
         "  target: {}-bit, {}",
         match binary.target.width {
             Width::W32 => 32,
@@ -82,16 +82,16 @@ pub fn inspect(opts: &Opts) -> Result<(), String> {
         }
     );
     let static_instrs: u64 = binary.blocks.iter().map(|b| b.instrs).sum();
-    println!(
+    outln!(
         "  {} basic blocks ({static_instrs} static instructions), {} arrays",
         binary.blocks.len(),
         binary.layout.arrays.len()
     );
-    println!("  procedures:");
+    outln!("  procedures:");
     for p in &binary.procs {
-        println!("    {} @ {}", p.name, p.line);
+        outln!("    {} @ {}", p.name, p.line);
     }
-    println!("  loops:");
+    outln!("  loops:");
     for (i, l) in binary.loops.iter().enumerate() {
         let line = l
             .line
@@ -103,10 +103,10 @@ pub fn inspect(opts: &Opts) -> Result<(), String> {
         } else {
             String::new()
         };
-        println!("    L{i} in {proc} @ {line}{unroll}");
+        outln!("    L{i} in {proc} @ {line}{unroll}");
     }
     if opts.flag("code").is_some() {
-        println!(
+        outln!(
             "
 {}",
             binary.disassemble()
@@ -128,7 +128,7 @@ pub fn profile(opts: &Opts) -> Result<(), String> {
         .unwrap_or_else(|| format!("{}.bb", binary.label()));
     std::fs::write(&out, write_bb(&intervals)).map_err(|e| format!("writing {out}: {e}"))?;
     let total: u64 = intervals.iter().map(|i| i.instrs).sum();
-    println!(
+    outln!(
         "profiled {}: {} intervals over {} instructions -> {}",
         binary.label(),
         intervals.len(),
@@ -155,25 +155,31 @@ pub fn simpoint(opts: &Opts) -> Result<(), String> {
     let vectors: Vec<Vec<f64>> = intervals.iter().map(|i| i.bbv.clone()).collect();
     let instrs: Vec<u64> = intervals.iter().map(|i| i.instrs).collect();
     let result = analyze(&vectors, &instrs, &config);
-    println!(
+    outln!(
         "{} intervals -> {} phases (BIC over k=1..{}):",
         intervals.len(),
         result.k,
         config.max_k
     );
-    println!(
+    outln!(
         "{:>6} {:>9} {:>8} {:>12}",
-        "phase", "interval", "weight", "variance"
+        "phase",
+        "interval",
+        "weight",
+        "variance"
     );
     for p in &result.points {
-        println!(
+        outln!(
             "{:>6} {:>9} {:>8.4} {:>12.6}",
-            p.phase, p.interval, p.weight, p.variance
+            p.phase,
+            p.interval,
+            p.weight,
+            p.variance
         );
     }
     if let Some(out) = opts.flag("out") {
         write_json(out, &result)?;
-        println!("wrote {out}");
+        outln!("wrote {out}");
     }
     Ok(())
 }
@@ -247,14 +253,14 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
         )
         .map_err(|e| e.to_string())?;
     if policy == CachePolicy::Bypass {
-        println!("cache: bypassed (--no-cache)");
+        outln!("cache: bypassed (--no-cache)");
     } else {
         let summary: Vec<String> = report
             .stage_summary()
             .iter()
             .map(|(stage, hits, total)| format!("{stage} {hits}/{total}"))
             .collect();
-        println!(
+        outln!(
             "cache: {} of {} stage executions served from {} ({})",
             report.hits(),
             report.outcomes.len(),
@@ -263,7 +269,7 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
         );
     }
 
-    println!(
+    outln!(
         "{name}: {} mappable points ({} proc entries, {} loop entries, {} loop bodies; {} procedures recovered)",
         result.mappable.points.len(),
         result.mappable.of_kind(PointKind::ProcEntry).count(),
@@ -271,7 +277,7 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
         result.mappable.of_kind(PointKind::LoopBody).count(),
         result.recovered_procs,
     );
-    println!(
+    outln!(
         "marker density: {:.1} mappable executions per target interval{}",
         result
             .mappable
@@ -286,7 +292,7 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
             ""
         }
     );
-    println!(
+    outln!(
         "{} intervals (avg {:.0} instructions), {} phases{}",
         result.interval_count(),
         result.vli.average_interval_size(),
@@ -303,7 +309,7 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
     );
     if let Some(fuzzy) = &config.fuzzy {
         let stats = mapping_stats(&result.mappings);
-        println!(
+        outln!(
             "fuzzy mapping (threshold {}): {} exact, {} fuzzy (mean confidence {:.3}), \
              {} unmapped — {:.0}% of simpoints mapped",
             fuzzy.threshold,
@@ -320,7 +326,7 @@ pub fn cross(opts: &Opts) -> Result<(), String> {
         let pp = result.pinpoints_for(b, bin, &input);
         let pp_path = format!("{out_dir}/{}.pinpoints.json", bin.label());
         write_json(&pp_path, &pp)?;
-        println!("  {} -> {bin_path}, {pp_path}", bin.label());
+        outln!("  {} -> {bin_path}, {pp_path}", bin.label());
     }
     Ok(())
 }
@@ -334,16 +340,20 @@ pub fn markers(opts: &Opts) -> Result<(), String> {
     let top = opts.flag_or("top", 10usize)?;
     let stats = marker_period_stats(&binary, &input);
     let picked = select_phase_markers(&stats, target / 2, 20.0, 0.5);
-    println!(
+    outln!(
         "{}: {} markers profiled, {} phase-marker candidates near {} instructions",
         binary.label(),
         stats.len(),
         picked.len(),
         target
     );
-    println!(
+    outln!(
         "{:<16} {:<20} {:>8} {:>14} {:>8}",
-        "marker", "construct", "execs", "mean period", "CV"
+        "marker",
+        "construct",
+        "execs",
+        "mean period",
+        "CV"
     );
     for s in picked.iter().take(top) {
         let construct = match s.marker {
@@ -356,7 +366,7 @@ pub fn markers(opts: &Opts) -> Result<(), String> {
             }
             cbsp_profile::MarkerRef::LoopBack(i) => format!("loop-body #{i}"),
         };
-        println!(
+        outln!(
             "{:<16} {:<20} {:>8} {:>14.0} {:>8.3}",
             s.marker.to_string(),
             construct,
@@ -372,7 +382,7 @@ pub fn markers(opts: &Opts) -> Result<(), String> {
 pub fn source(opts: &Opts) -> Result<(), String> {
     let name = opts.positional(0, "benchmark name")?;
     let workload = workloads::by_name(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
-    print!("{}", workload.build(opts.scale()?));
+    out!("{}", workload.build(opts.scale()?));
     Ok(())
 }
 
@@ -382,18 +392,18 @@ pub fn hot(opts: &Opts) -> Result<(), String> {
     let input = opts.input()?;
     let top = opts.flag_or("top", 10usize)?;
     let h = ProcHotness::collect(&binary, &input);
-    println!(
+    outln!(
         "{} on {} input: {} instructions",
         binary.label(),
         input.name,
         h.total
     );
-    println!("{:<24} {:>14} {:>8}", "procedure", "instructions", "share");
+    outln!("{:<24} {:>14} {:>8}", "procedure", "instructions", "share");
     for (proc, instrs, frac) in h.ranking().into_iter().take(top) {
         if instrs == 0 {
             break;
         }
-        println!(
+        outln!(
             "{:<24} {:>14} {:>7.2}%",
             binary.procs[proc.index()].name,
             instrs,
@@ -415,12 +425,16 @@ pub fn simulate(opts: &Opts) -> Result<(), String> {
     let mem = MemoryConfig::table1();
 
     let regions = simulate_regions(&binary, &input, &mem, &file);
-    println!(
+    outln!(
         "{:>6} {:>8} {:>12} {:>10} {:>8}",
-        "phase", "weight", "instructions", "CPI", "reached"
+        "phase",
+        "weight",
+        "instructions",
+        "CPI",
+        "reached"
     );
     for r in &regions {
-        println!(
+        outln!(
             "{:>6} {:>8.4} {:>12} {:>10.3} {:>8}",
             r.phase,
             r.weight,
@@ -430,16 +444,16 @@ pub fn simulate(opts: &Opts) -> Result<(), String> {
         );
     }
     let est = estimate_cpi_from_regions(&regions);
-    println!("estimated whole-program CPI: {est:.4}");
+    outln!("estimated whole-program CPI: {est:.4}");
 
     if opts.flag("full").is_some() {
         let full = simulate_full(&binary, &input, &mem);
         let err = 100.0 * (full.cpi() - est).abs() / full.cpi();
-        println!(
+        outln!(
             "true whole-program CPI:      {:.4}  (estimate error {err:.2}%)",
             full.cpi()
         );
-        println!("full-simulation detail:\n{full}");
+        outln!("full-simulation detail:\n{full}");
     }
     Ok(())
 }
@@ -451,7 +465,7 @@ pub fn perbinary(opts: &Opts) -> Result<(), String> {
     let interval = opts.flag_or("interval", 100_000u64)?;
     let input = opts.input()?;
     let analysis = run_per_binary(&binary, &input, interval, &SimPointConfig::default());
-    println!(
+    outln!(
         "{}: {} intervals -> {} phases",
         binary.label(),
         analysis.interval_count(),
@@ -463,7 +477,7 @@ pub fn perbinary(opts: &Opts) -> Result<(), String> {
         .map(str::to_string)
         .unwrap_or_else(|| format!("{}.pinpoints.json", binary.label()));
     write_json(&out, &pp)?;
-    println!("wrote {out}");
+    outln!("wrote {out}");
     Ok(())
 }
 
@@ -472,10 +486,10 @@ pub fn perbinary(opts: &Opts) -> Result<(), String> {
 /// [--no-cache 1] [--refresh 1]` — true vs SimPoint-estimated CPI for
 /// all four binaries, computed from per-simpoint trace slices. The
 /// pipeline stages come from the artifact store like `cbsp cross`; the
-/// CPI side reads the sliced trace manifest, so a warm run decodes
-/// kilobytes of slice payload instead of each binary's full recorded
-/// trace (DESIGN.md "Sliced traces"; slice replay is exact, so the
-/// estimates equal a full in-context replay). The stratified lane
+/// CPI side reads the sliced trace manifest — cut from one live run per
+/// binary when the store lacks it — so a warm run decodes kilobytes of
+/// slice payload (DESIGN.md "Sliced traces"; slice replay is exact, so
+/// the estimates equal a full in-context replay). The stratified lane
 /// additionally reports a confidence half-width per binary (zero for
 /// single-representative lanes by construction).
 pub fn estimate(opts: &Opts) -> Result<(), String> {
@@ -518,16 +532,21 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
     let estimates = traces
         .estimate_cross_binary(&refs, &input, &MemoryConfig::default(), &result, &pool)
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{name}: {} intervals, {} phases, {} simulation points (estimator {})",
         result.interval_count(),
         result.simpoint.k,
         result.simpoint.points.len(),
         config.estimator.tag()
     );
-    println!(
+    outln!(
         "{:<10} {:>12} {:>10} {:>12} {:>10} {:>10}",
-        "binary", "instructions", "true CPI", "estimated", "rel error", "CI ±"
+        "binary",
+        "instructions",
+        "true CPI",
+        "estimated",
+        "rel error",
+        "CI ±"
     );
     for (b, est) in estimates.iter().enumerate() {
         let ci_half = cbsp_core::stratified_ci(
@@ -536,7 +555,7 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
             &result.weights[b],
             &est.interval_cpis,
         );
-        println!(
+        outln!(
             "{:<10} {:>12} {:>10.4} {:>12.4} {:>9.2}% {:>10.4}",
             binaries[b].label(),
             est.instructions,
@@ -552,20 +571,18 @@ pub fn estimate(opts: &Opts) -> Result<(), String> {
 /// `cbsp cache <stats|gc> [--cache-dir D]` — inspect or
 /// garbage-collect the content-addressed artifact store.
 ///
-/// The store holds three kinds of objects: pipeline stage artifacts
-/// (referenced by run manifests), recorded event traces under the
-/// `trace` namespace, and sliced-trace manifests under `trace_slice` —
-/// the latter two unreferenced by any run manifest. `stats` reports
-/// them separately; `gc` keeps manifest-referenced artifacts and
-/// evicts traces and slices — they re-record / re-slice transparently
-/// on next use.
+/// The store holds two kinds of objects: pipeline stage artifacts
+/// (referenced by run manifests) and sliced-trace manifests and slices
+/// under `trace_slice`, which no run manifest references. `stats`
+/// reports them separately; `gc` keeps manifest-referenced artifacts
+/// and evicts slices — they are re-cut transparently on next use.
 pub fn cache(opts: &Opts) -> Result<(), String> {
     let action = opts.positional(0, "cache action (stats|gc)")?;
     let store = ArtifactStore::open(opts.cache_dir()).map_err(|e| e.to_string())?;
     match action {
         "stats" => {
             let stats = store.stats().map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "store {}: {} artifacts, {} bytes, {} manifests",
                 opts.cache_dir(),
                 stats.artifacts,
@@ -573,39 +590,38 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
                 stats.manifests
             );
             let split = stats.breakdown();
-            println!(
+            outln!(
                 "  pipeline stages: {} artifacts, {} bytes",
-                split.pipeline.artifacts, split.pipeline.bytes
+                split.pipeline.artifacts,
+                split.pipeline.bytes
             );
-            println!(
-                "  trace cache:     {} artifacts, {} bytes (evicted by gc, re-recorded on use)",
-                split.traces.artifacts, split.traces.bytes
-            );
-            println!(
+            outln!(
                 "  sliced traces:   {} artifacts, {} bytes (evicted by gc, re-sliced on use)",
-                split.slices.artifacts, split.slices.bytes
+                split.slices.artifacts,
+                split.slices.bytes
             );
             if split.other.artifacts > 0 {
-                println!(
-                    "  other:           {} artifacts, {} bytes (shard maps, unreadable or legacy files)",
+                outln!(
+                    "  other:           {} artifacts, {} bytes (shard maps, unreadable or legacy files, old full traces)",
                     split.other.artifacts, split.other.bytes
                 );
             }
             for (stage, s) in &stats.per_stage {
-                println!("  {stage:<10} {} artifacts, {} bytes", s.artifacts, s.bytes);
+                outln!("  {stage:<10} {} artifacts, {} bytes", s.artifacts, s.bytes);
             }
             // Non-default estimator lanes cache their stages under
             // `stage@tag` namespaces (see cbsp_store::stage_namespaces).
-            println!("  by estimator lane:");
+            outln!("  by estimator lane:");
             for (lane, s) in &split.lanes {
-                println!(
+                outln!(
                     "    {lane:<14} {} artifacts, {} bytes",
-                    s.artifacts, s.bytes
+                    s.artifacts,
+                    s.bytes
                 );
             }
             for manifest in store.manifests().map_err(|e| e.to_string())? {
                 let hits = manifest.stages.iter().filter(|s| s.hit).count();
-                println!(
+                outln!(
                     "  run {}  {}  ({hits}/{} stage executions from cache)",
                     &manifest.run_key[..12.min(manifest.run_key.len())],
                     manifest.description,
@@ -616,16 +632,16 @@ pub fn cache(opts: &Opts) -> Result<(), String> {
         }
         "gc" => {
             let report = store.gc().map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "gc {}: removed {} artifacts ({} bytes), kept {}",
                 opts.cache_dir(),
                 report.removed,
                 report.reclaimed_bytes,
                 report.kept
             );
-            println!(
-                "note: removal includes recorded event traces (no manifest references \
-                 them); they re-record on next use"
+            outln!(
+                "note: removal includes trace slices (no manifest references them); \
+                 they are re-cut on next use"
             );
             Ok(())
         }
@@ -679,11 +695,11 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
         return Err("--max-inflight must be > 0".into());
     }
     let server = cbsp_serve::Server::start(config)?;
-    println!("cbsp-serve listening on {}", server.addr());
-    println!("  NDJSON protocol + GET /healthz, GET /metrics (docs/PROTOCOL.md)");
-    println!("  stop with: {{\"method\":\"server.shutdown\"}}");
+    outln!("cbsp-serve listening on {}", server.addr());
+    outln!("  NDJSON protocol + GET /healthz, GET /metrics (docs/PROTOCOL.md)");
+    outln!("  stop with: {{\"method\":\"server.shutdown\"}}");
     server.wait()?;
-    println!("drained; bye");
+    outln!("drained; bye");
     Ok(())
 }
 
@@ -720,18 +736,18 @@ fn serve_cluster(opts: &Opts, workers: usize) -> Result<(), String> {
         return Err("--max-inflight must be > 0".into());
     }
     let cluster = cbsp_cluster::Cluster::start(config)?;
-    println!("cbsp-cluster routing on {}", cluster.addr());
+    outln!("cbsp-cluster routing on {}", cluster.addr());
     for entry in cluster.shard_map().shards {
-        println!(
+        outln!(
             "  shard {} -> {} ({})",
             entry.shard,
             entry.addr,
             if entry.spawned { "spawned" } else { "adopted" }
         );
     }
-    println!("  NDJSON protocol + GET /healthz, GET /metrics (docs/PROTOCOL.md)");
-    println!("  stop with: {{\"method\":\"server.shutdown\"}}");
+    outln!("  NDJSON protocol + GET /healthz, GET /metrics (docs/PROTOCOL.md)");
+    outln!("  stop with: {{\"method\":\"server.shutdown\"}}");
     cluster.wait()?;
-    println!("drained; bye");
+    outln!("drained; bye");
     Ok(())
 }

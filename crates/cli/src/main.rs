@@ -14,6 +14,20 @@
 //!      --regions out/gcc-32o.pinpoints.json --full 1
 //! ```
 
+/// [`write_stdout`] with `format!` arguments.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// [`write_stdout`] with `format!` arguments and a trailing newline.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod commands;
 mod opts;
 
@@ -57,14 +71,15 @@ commands:
       [--interval N] [--scale S] [--threads N]
       [--estimator bbv|bbv+mav|early|stratified]
       [--cache-dir DIR] [--no-cache 1] [--refresh 1]
-                                 (reads per-simpoint trace slices, exact
-                                 to a full in-context replay; stratified
+                                 (reads per-simpoint trace slices, cut from
+                                 one live run on a miss and exact to a full
+                                 in-context replay; stratified
                                  also reports a confidence half-width)
   cache <stats|gc>             inspect or garbage-collect the artifact
       [--cache-dir DIR]          store (stats splits pipeline stages from
-                                 the trace cache; gc keeps
+                                 the sliced traces; gc keeps
                                  manifest-referenced stage artifacts and
-                                 evicts recorded traces — they re-record on
+                                 evicts trace slices — they are re-cut on
                                  next use)
   serve                        run the simulation-point query daemon
       [--addr HOST:PORT] [--threads N] [--max-inflight N]
@@ -111,13 +126,28 @@ fn main() {
         "cache" => commands::cache(&opts),
         "serve" => commands::serve(&opts),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command {other}\n\n{USAGE}")),
     };
     if let Err(e) = result.and_then(|()| opts.export_tracing()) {
         fail(&e);
+    }
+}
+
+/// The one path every command's output takes to stdout. A reader that
+/// has gone away (`cbsp … | head`) makes the write fail with
+/// `BrokenPipe`; the output is unwanted then, so the process ends
+/// quietly with exit code 0 instead of panicking. Any other write
+/// failure is an error (exit 2).
+pub(crate) fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        fail(&format!("writing to stdout: {e}"));
     }
 }
 

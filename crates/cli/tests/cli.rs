@@ -400,3 +400,92 @@ fn simulate_rejects_mismatched_region_files() {
     );
     assert!(out.status.success(), "graceful handling of foreign regions");
 }
+
+/// Output into a pipe nobody reads is unwanted, not an error: every
+/// write fails with `BrokenPipe`, and `cbsp` exits 0 without a word on
+/// stderr instead of panicking. The reader end is closed before `cbsp`
+/// starts — it belongs to a process that has already exited — so the
+/// very first write fails, whatever the output size.
+#[test]
+fn output_into_a_closed_pipe_exits_quietly() {
+    use std::process::Stdio;
+    let dir = temp_dir("closed-pipe");
+    for args in [
+        &["list"][..],
+        &["help"],
+        &["source", "gcc"],
+        &["cache", "stats", "--cache-dir", "store"],
+    ] {
+        let mut reader = Command::new(env!("CARGO_BIN_EXE_cbsp"))
+            .arg("help")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("reader runs");
+        let write_end = reader.stdin.take().expect("piped stdin");
+        reader.wait().expect("reader exits");
+        let out = Command::new(env!("CARGO_BIN_EXE_cbsp"))
+            .args(args)
+            .current_dir(&dir)
+            .stdout(Stdio::from(write_end))
+            .stderr(Stdio::piped())
+            .output()
+            .expect("cbsp runs");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "cbsp {args:?} into a closed pipe: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(out.stderr.is_empty(), "cbsp {args:?} stays quiet");
+    }
+}
+
+/// Two cold `estimate` processes racing on one empty store both
+/// succeed with the same table — every store write is a
+/// write-then-rename, so neither sees the other's half-written
+/// objects — and a third, warm run prints it again. The estimate path
+/// stores trace slices and no full trace.
+#[test]
+fn concurrent_cold_estimates_share_one_store() {
+    use std::process::Stdio;
+    let dir = temp_dir("concurrent-estimate");
+    let args = [
+        "estimate",
+        "gzip",
+        "--scale",
+        "test",
+        "--cache-dir",
+        "store",
+    ];
+    let spawn = || {
+        Command::new(env!("CARGO_BIN_EXE_cbsp"))
+            .args(args)
+            .current_dir(&dir)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("cbsp starts")
+    };
+    let (a, b) = (spawn(), spawn());
+    let a = assert_ok(&a.wait_with_output().expect("first runs"), "first estimate");
+    let b = assert_ok(
+        &b.wait_with_output().expect("second runs"),
+        "second estimate",
+    );
+    assert_eq!(a, b, "racing cold runs agree");
+    assert!(a.contains("gzip-32o"), "{a}");
+    let warm = assert_ok(&cbsp(&dir, &args), "warm estimate");
+    assert_eq!(warm, a, "warm run prints the same table");
+
+    let stats = assert_ok(
+        &cbsp(&dir, &["cache", "stats", "--cache-dir", "store"]),
+        "stats",
+    );
+    assert!(stats.contains("  trace_slice "), "{stats}");
+    assert!(
+        !stats.lines().any(|l| l.trim_start().starts_with("trace ")),
+        "no full-trace blobs:\n{stats}"
+    );
+}

@@ -55,7 +55,7 @@ pub(crate) struct PipelineSpec {
 pub(crate) enum Work {
     /// `pipeline.run` — batchable.
     Pipeline(Box<PipelineSpec>),
-    /// `estimate.cpi` — pipeline plus trace replays.
+    /// `estimate.cpi` — pipeline plus slice replays.
     Estimate(Box<PipelineSpec>),
     /// `simpoints.get` — store lookup by derived key, never computes.
     Simpoints(Box<PipelineSpec>),
@@ -263,9 +263,10 @@ impl Engine {
     }
 
     /// Runs the pipeline, then computes each binary's true and
-    /// SimPoint-estimated CPI from its per-simpoint trace slices: warm
-    /// requests replay kilobytes of slice payload instead of the full
-    /// recorded trace (see DESIGN.md "Sliced traces").
+    /// SimPoint-estimated CPI from its per-simpoint trace slices: a
+    /// cold request cuts them from one live run per binary, warm
+    /// requests replay kilobytes of slice payload (see DESIGN.md
+    /// "Sliced traces").
     pub fn execute_estimate(&self, spec: &PipelineSpec, deadline: Instant) -> Reply {
         let run = self.run_cross(spec, self.threads, deadline)?;
         let cross = &run.cross;
@@ -333,11 +334,11 @@ impl Engine {
         ]))
     }
 
-    /// Store usage, with the trace and sliced-trace namespaces split
-    /// out from the pipeline stages (trace payloads dwarf stage
-    /// artifacts and are evicted by `gc`, so lumping them together
-    /// hides both facts). `pipeline` counts pipeline-stage namespaces
-    /// only (see [`cbsp_store::StoreStats::breakdown`]).
+    /// Store usage, with the sliced-trace namespace split out from the
+    /// pipeline stages (slices are evicted by `gc`, stage artifacts
+    /// are not, so lumping them together hides that). `pipeline`
+    /// counts pipeline-stage namespaces only (see
+    /// [`cbsp_store::StoreStats::breakdown`]).
     pub fn execute_store_stats(&self) -> Reply {
         let stats = self.store.stats().map_err(internal)?;
         let split = stats.breakdown();
@@ -352,7 +353,6 @@ impl Engine {
             ("bytes", Value::UInt(stats.bytes)),
             ("manifests", Value::UInt(stats.manifests)),
             ("pipeline", sub(&split.pipeline)),
-            ("traces", sub(&split.traces)),
             ("trace_slices", sub(&split.slices)),
             (
                 "per_stage",

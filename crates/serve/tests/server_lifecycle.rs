@@ -206,11 +206,11 @@ fn mixed_queries_singleflight_and_metrics() {
     ));
     assert_eq!(field(&miss, "result.found"), &Value::Bool(false));
 
-    // Store stats split pipeline artifacts from the trace namespace.
+    // Store stats split pipeline artifacts from the slice namespace.
     let stats = assert_ok(&one_shot(addr, r#"{"id":4,"method":"store.stats"}"#));
     assert!(matches!(field(&stats, "result.artifacts"), Value::UInt(n) if *n > 0));
     assert!(matches!(field(&stats, "result.pipeline.artifacts"), Value::UInt(n) if *n > 0));
-    field(&stats, "result.traces.artifacts");
+    field(&stats, "result.trace_slices.artifacts");
 
     // CPI estimation over the warm store: four binaries, sane errors.
     let est = assert_ok(&one_shot(
@@ -283,8 +283,8 @@ fn overload_is_rejected_with_typed_error() {
 /// A daemon started without tracing still reports its store and
 /// trace-cache hits. A second server over the first one's store starts
 /// with an empty result cache, so its `estimate.cpi` reaches the warm
-/// store; a new interval then needs fresh slices but reuses the
-/// recorded traces.
+/// store and hits the stored slices; a new interval then cuts fresh
+/// ones.
 #[test]
 fn untraced_daemon_counts_store_and_trace_cache_hits() {
     let estimate = |interval: u64| {
@@ -309,6 +309,7 @@ fn untraced_daemon_counts_store_and_trace_cache_hits() {
     assert_eq!(count("cache.result_misses"), 2);
     assert!(count("cache.store_hits") >= 1, "{metrics:?}");
     assert!(count("cache.trace_hits") >= 1, "{metrics:?}");
+    assert!(count("cache.trace_misses") >= 1, "{metrics:?}");
 
     second.shutdown();
     second.wait().expect("clean drain");

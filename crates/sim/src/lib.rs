@@ -7,12 +7,15 @@
 //!
 //! Cycles = instructions + Σ per-access latency of the servicing level.
 //!
-//! Three drivers:
+//! Four drivers:
 //! * [`simulate_full`] — whole-program ground truth;
 //! * [`simulate_fli_sliced`] — the same run, reported per fixed-length
 //!   interval (for per-binary SimPoint evaluation);
 //! * [`simulate_marker_sliced`] — the same run, reported per mapped
-//!   marker-bounded interval (for cross-binary SimPoint evaluation).
+//!   marker-bounded interval (for cross-binary SimPoint evaluation);
+//! * [`simulate_slices`] — the same marker-bounded run, cut into one
+//!   state-checkpointed slice per selected interval (the sliced CPI
+//!   estimate's cold path).
 //!
 //! ## Example
 //!
@@ -56,7 +59,7 @@ pub use runner::{
     simulate_fli_sliced, simulate_full, simulate_marker_sliced, FliSlicedSim, FullSim,
     MarkerSlicedSim,
 };
-pub use slice::{replay_slice, slice_trace, SlicedTrace, TraceSlice};
+pub use slice::{replay_slice, simulate_slices, slice_trace, SlicedTrace, TraceSlice};
 pub use stats::{IntervalSim, LevelStats, SimStats};
 
 /// Small xorshift step used by the random replacement policy.

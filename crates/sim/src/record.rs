@@ -1,14 +1,14 @@
 //! Event-trace capture: record one execution's event stream into a
 //! compact buffer that can be replayed into any [`TraceSink`].
 //!
-//! This is the record half of the paper's record-once/replay-many tool
-//! chain (§4): Pin instruments the binary once, and every analysis —
-//! CMP$im with different configurations, region extraction, warmup
-//! studies — consumes the recorded stream without re-running the
-//! program. Here [`RecordSink`] captures the executor's four event
-//! kinds (block, access, marker, branch) and [`replay`](crate::replay::replay) feeds
+//! [`RecordSink`] captures the executor's four event kinds (block,
+//! access, marker, branch) and [`replay`](crate::replay::replay) feeds
 //! them back into a sink with none of the interpreter's control-flow,
-//! occurrence-counter, or address-generation overhead.
+//! occurrence-counter, or address-generation overhead. Replay is the
+//! equivalence oracle for the live simulators, and the encoding is
+//! the one trace slices are stored in. The simulators' own cost
+//! dominates both a live run and a replay, so the estimate path
+//! simulates live and records no whole-execution trace.
 //!
 //! # Encoding
 //!

@@ -1,8 +1,7 @@
 //! Event-trace replay: feed a recorded [`EventTrace`] into any
 //! [`TraceSink`] without re-running the interpreter.
 //!
-//! Replay is the hot path of record-once/replay-many: a tight decode
-//! loop over the flat byte buffer, with none of the executor's
+//! Replay is a tight decode loop over the flat byte buffer, with none of the executor's
 //! statement-tree walking, occurrence counters, RNG, or address
 //! arithmetic. The callback sequence is exactly the one the original
 //! [`cbsp_program::run`] produced, so any sink computes byte-identical

@@ -1,15 +1,18 @@
-//! Per-simpoint *sliced* traces: cut a recorded [`EventTrace`] into
-//! the byte ranges of selected intervals so a warm CPI estimate decodes
-//! kilobytes instead of the full multi-megabyte stream.
+//! Per-simpoint *sliced* traces: cut the byte ranges of selected
+//! intervals out of an execution's event stream so a warm CPI estimate
+//! decodes kilobytes instead of simulating the whole run.
 //!
-//! A full event trace covers the whole execution, but a SimPoint
-//! estimate only ever charges a handful of selected intervals — exactly
-//! the waste region-based sampling tool chains (PinPoints-style) avoid
-//! by materializing per-region artifacts. [`slice_trace`] replays the
-//! full trace **once**, producing both the whole-program ground-truth
-//! statistics and one small re-based [`TraceSlice`] per selected
-//! interval; [`replay_slice`] then reconstructs an interval's
-//! statistics from its slice alone.
+//! A SimPoint estimate only ever charges a handful of selected
+//! intervals — exactly the waste region-based sampling tool chains
+//! (PinPoints-style) avoid by materializing per-region artifacts. One
+//! cutting pass over the execution produces both the whole-program
+//! ground-truth statistics and one small re-based [`TraceSlice`] per
+//! selected interval; [`replay_slice`] then reconstructs an interval's
+//! statistics from its slice alone. The pass has two event sources
+//! behind one private cutter: [`simulate_slices`] interprets the
+//! binary live (the estimate path, which records no full trace), and
+//! [`slice_trace`] replays an already-recorded [`EventTrace`]. Both
+//! yield the same bytes.
 //!
 //! # Slice layout: re-based events plus a state checkpoint
 //!
@@ -27,7 +30,7 @@
 //! be approximated cheaply: a warmup prefix long enough to warm a
 //! megabyte-scale last-level cache would be most of the trace, and a
 //! short one charges cold misses at DRAM latency. Slices instead carry
-//! an exact checkpoint: while the cutting replay runs, the simulator's
+//! an exact checkpoint: while the cutting pass runs, the simulator's
 //! microarchitectural state (all three cache levels plus the optional
 //! branch predictor) is packed into [`TraceSlice::state`] at the moment
 //! the selected interval begins. [`replay_slice`] restores the
@@ -48,15 +51,15 @@ use crate::replay::{replay, TraceError};
 use crate::runner::{Engine, MarkerSlicedSim};
 use crate::stats::{IntervalSim, SimStats};
 use cbsp_profile::ExecPoint;
-use cbsp_program::{BlockId, Marker, TraceSink};
+use cbsp_program::{run, Binary, BlockId, Input, Marker, TraceSink};
 
-/// One selected interval's re-based slice of a recorded trace.
+/// One selected interval's re-based slice of an execution's event stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSlice {
     /// Index of the interval this slice charges.
     pub interval: usize,
     /// Packed simulator state (caches + optional predictor) at the
-    /// interval's start, captured during the cutting replay. For
+    /// interval's start, captured during the cutting pass. For
     /// interval 0 — and for selected indices past the last interval —
     /// this is the initial (empty) state.
     pub state: Vec<u8>,
@@ -73,15 +76,15 @@ impl TraceSlice {
     }
 }
 
-/// The product of slicing one full trace: whole-program ground truth
-/// plus one slice per selected interval.
+/// The product of one cutting pass: whole-program ground truth plus
+/// one slice per selected interval.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlicedTrace {
-    /// Whole-program statistics of the full replay (ground truth for
+    /// Whole-program statistics of the cutting pass (ground truth for
     /// `true_cpi`), byte-identical to
     /// [`replay_marker_sliced`](crate::replay_marker_sliced).
     pub full: SimStats,
-    /// Number of intervals the full replay closed (boundaries reached
+    /// Number of intervals the cutting pass closed (boundaries reached
     /// plus a tail interval if it executed instructions).
     pub intervals: usize,
     /// Slices in ascending interval order, one per selected interval.
@@ -181,6 +184,70 @@ impl TraceSink for SliceCutter {
     }
 }
 
+/// Cuts one re-based, state-checkpointed [`TraceSlice`] per interval
+/// in `selected` out of the event stream `drive` feeds its sink, and
+/// returns them with the stream's whole-program statistics. The one
+/// cutting path behind [`slice_trace`] (a recorded stream) and
+/// [`simulate_slices`] (a live run): the sink cannot tell the two
+/// sources apart, so both produce the same bytes.
+fn cut_slices<E>(
+    n_procs: u32,
+    n_loops: u32,
+    config: &MemoryConfig,
+    boundaries: &[ExecPoint],
+    selected: &[usize],
+    drive: impl FnOnce(&mut SliceCutter) -> Result<(), E>,
+) -> Result<SlicedTrace, E> {
+    let mut wanted: Vec<usize> = selected.to_vec();
+    wanted.sort_unstable();
+    wanted.dedup();
+    let sim = MarkerSlicedSim::with_dims(
+        config,
+        n_procs as usize,
+        n_loops as usize,
+        boundaries.to_vec(),
+    );
+    // The empty-engine checkpoint: interval 0's start state, and the
+    // stand-in for selections past the last interval (whose slices
+    // carry no events, so any valid state yields the correct default
+    // statistics).
+    let initial_state = sim.state_snapshot();
+    let mut cutter = SliceCutter {
+        sim,
+        builders: wanted
+            .into_iter()
+            .map(|interval| SliceBuilder {
+                interval,
+                sink: RecordSink::with_dims(n_procs, n_loops),
+                state: (interval == 0).then(|| initial_state.clone()),
+            })
+            .collect(),
+        lo: 0,
+    };
+    drive(&mut cutter)?;
+    assert_eq!(
+        cutter.sim.unreached_boundaries(),
+        0,
+        "marker boundaries must all occur in this binary's execution"
+    );
+    let builders = cutter.builders;
+    let (full, intervals) = cutter.sim.finish();
+    cbsp_trace::add("sim/instructions", full.instructions);
+    let slices = builders
+        .into_iter()
+        .map(|b| TraceSlice {
+            interval: b.interval,
+            state: b.state.unwrap_or_else(|| initial_state.clone()),
+            trace: b.sink.finish(),
+        })
+        .collect();
+    Ok(SlicedTrace {
+        full,
+        intervals: intervals.len(),
+        slices,
+    })
+}
+
 /// Replays `trace` once, computing whole-program statistics and
 /// cutting one re-based, state-checkpointed [`TraceSlice`] per
 /// interval in `selected` (indices into the marker-bounded interval
@@ -204,54 +271,48 @@ pub fn slice_trace(
     let _span = cbsp_trace::span_labeled("sim/slice_trace", || {
         format!("{} events, {} slices", trace.events, selected.len())
     });
-    let mut wanted: Vec<usize> = selected.to_vec();
-    wanted.sort_unstable();
-    wanted.dedup();
-    let sim = MarkerSlicedSim::with_dims(
+    cut_slices(
+        trace.n_procs,
+        trace.n_loops,
         config,
-        trace.n_procs as usize,
-        trace.n_loops as usize,
-        boundaries.to_vec(),
-    );
-    // The empty-engine checkpoint: interval 0's start state, and the
-    // stand-in for selections past the last interval (whose slices
-    // carry no events, so any valid state yields the correct default
-    // statistics).
-    let initial_state = sim.state_snapshot();
-    let mut cutter = SliceCutter {
-        sim,
-        builders: wanted
-            .into_iter()
-            .map(|interval| SliceBuilder {
-                interval,
-                sink: RecordSink::with_dims(trace.n_procs, trace.n_loops),
-                state: (interval == 0).then(|| initial_state.clone()),
-            })
-            .collect(),
-        lo: 0,
-    };
-    replay(trace, &mut cutter)?;
-    assert_eq!(
-        cutter.sim.unreached_boundaries(),
-        0,
-        "marker boundaries must all occur in this binary's execution"
-    );
-    let builders = cutter.builders;
-    let (full, intervals) = cutter.sim.finish();
-    cbsp_trace::add("sim/instructions", full.instructions);
-    let slices = builders
-        .into_iter()
-        .map(|b| TraceSlice {
-            interval: b.interval,
-            state: b.state.unwrap_or_else(|| initial_state.clone()),
-            trace: b.sink.finish(),
-        })
-        .collect();
-    Ok(SlicedTrace {
-        full,
-        intervals: intervals.len(),
-        slices,
-    })
+        boundaries,
+        selected,
+        |cutter| replay(trace, cutter),
+    )
+}
+
+/// [`slice_trace`] from a live run: interprets `binary` on `input`
+/// once, straight into the cutting sink, and records no full trace.
+/// The result is byte-identical to
+/// `slice_trace(&record_trace(binary, input), …)`.
+///
+/// # Panics
+///
+/// Panics if some boundary was never reached — that means the
+/// boundaries do not belong to this `(binary, input)` pair (same
+/// contract as [`crate::simulate_marker_sliced`]).
+pub fn simulate_slices(
+    binary: &Binary,
+    input: &Input,
+    config: &MemoryConfig,
+    boundaries: &[ExecPoint],
+    selected: &[usize],
+) -> SlicedTrace {
+    let _span = cbsp_trace::span_labeled("sim/slice_live", || {
+        format!("{}, {} slices", binary.label(), selected.len())
+    });
+    cut_slices(
+        binary.procs.len() as u32,
+        binary.loops.len() as u32,
+        config,
+        boundaries,
+        selected,
+        |cutter| {
+            run(binary, input, cutter);
+            Ok::<(), std::convert::Infallible>(())
+        },
+    )
+    .unwrap_or_else(|never| match never {})
 }
 
 /// Sink for replaying one slice into a state-restored engine; markers

@@ -1,7 +1,8 @@
-//! Interpret-vs-replay equivalence: the record-once replay engine must
+//! Interpret-vs-replay equivalence: the trace replay engine must
 //! reproduce direct interpretation byte-for-byte for every sink type at
 //! any thread count, and damaged trace buffers must come back as typed
-//! errors — never panics.
+//! errors — never panics. Slices cut from a live run equal the slices
+//! cut from the recorded trace of that run.
 
 use cbsp_par::Pool;
 use cbsp_profile::{ExecPoint, MarkerRef, PinPointsFile, RegionBound, SimRegion};
@@ -11,7 +12,8 @@ use cbsp_program::{
 use cbsp_sim::{
     record_trace, replay, replay_fli_sliced, replay_full, replay_marker_sliced,
     replay_regions_with, replay_slice, simulate_fli_sliced, simulate_full, simulate_marker_sliced,
-    simulate_regions_with, slice_trace, EventTrace, MemoryConfig, TraceError, Warmup,
+    simulate_regions_with, simulate_slices, slice_trace, EventTrace, MemoryConfig, TraceError,
+    Warmup,
 };
 use proptest::prelude::*;
 
@@ -204,6 +206,11 @@ fn slice_replay_matches_full_replay_restricted_to_the_interval() {
     let (_, in_context) = replay_marker_sliced(&trace, &mem, &boundaries).expect("decodes");
     let sliced = slice_trace(&trace, &mem, &boundaries, &selected).expect("slices");
     assert_eq!(sliced.slices.len(), selected.len());
+    assert_eq!(
+        simulate_slices(bin, &input, &mem, &boundaries, &selected),
+        sliced,
+        "a live cut equals the cut of the recorded trace"
+    );
 
     let baseline: Vec<_> = sliced
         .slices
@@ -227,6 +234,40 @@ fn slice_replay_matches_full_replay_restricted_to_the_interval() {
         });
         for got in outcomes {
             assert_eq!(baseline, got, "{threads} threads");
+        }
+    }
+}
+
+/// Cutting slices from a live run equals cutting them from the
+/// recorded trace of that run, byte for byte: state checkpoints,
+/// re-based event bytes, ground truth and interval count. Covers every
+/// binary of two benchmarks, the branch predictor off and on, and a
+/// selection holding interval 0, the tail interval, an index past the
+/// last interval and a duplicate.
+#[test]
+fn live_cut_slices_equal_slices_of_the_recorded_trace() {
+    let mut gshare = MemoryConfig::table1();
+    gshare.branch = Some(cbsp_sim::BranchConfig::default());
+    for name in ["gzip", "swim"] {
+        let (binaries, input) = test_binaries(name);
+        for bin in &binaries {
+            let trace = record_trace(bin, &input);
+            let boundaries = marker_boundaries(bin, &input);
+            let tail = boundaries.len();
+            let selected = [tail + 7, tail, 2, 0, 2];
+            for mem in [MemoryConfig::table1(), gshare] {
+                let recorded = slice_trace(&trace, &mem, &boundaries, &selected).expect("slices");
+                let live = simulate_slices(bin, &input, &mem, &boundaries, &selected);
+                assert_eq!(live.full, recorded.full, "{}", bin.label());
+                assert_eq!(live.intervals, recorded.intervals, "{}", bin.label());
+                assert_eq!(live.slices.len(), 4, "sorted and deduplicated");
+                for (l, r) in live.slices.iter().zip(&recorded.slices) {
+                    assert_eq!(l.interval, r.interval);
+                    assert_eq!(l.state, r.state, "{} interval {}", bin.label(), l.interval);
+                    assert_eq!(l.trace, r.trace, "{} interval {}", bin.label(), l.interval);
+                }
+                assert_eq!(live, recorded);
+            }
         }
     }
 }

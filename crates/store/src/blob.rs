@@ -4,12 +4,11 @@
 //! header, the stage name, a *meta* section and the *payload* bytes
 //! verbatim. Pipeline-stage artifacts and the router's shard map put
 //! their canonical JSON in the payload and leave the meta section
-//! empty (see [`ArtifactStore::put`]); recorded event traces and trace
-//! slices put their fixed fields (event counts, dimensions) in the
-//! meta section and megabytes of varint event bytes in the payload, so
-//! a consumer like [`crate::TraceCache`] can adopt the payload buffer
-//! as the event buffer directly — no base64, no re-encode, no
-//! intermediate copy.
+//! empty (see [`ArtifactStore::put`]); trace slices put their fixed
+//! fields (event counts, dimensions) in the meta section and their
+//! varint event bytes in the payload, so [`crate::TraceCache`] can
+//! adopt the payload buffer as the event buffer directly — no base64,
+//! no re-encode, no intermediate copy.
 //!
 //! ## On-disk layout
 //!

@@ -5,13 +5,13 @@
 //! their outputs can be cached on disk and shared across CLI runs,
 //! benchmark sweeps, and figure regeneration.
 //!
-//! Two layers:
+//! Three parts:
 //!
 //! * [`ArtifactStore`] — a content-addressed on-disk store. Artifacts
 //!   are keyed by the SHA-256 of a canonical description of their
 //!   inputs, written in one format — the checksummed blob of
 //!   [`blob`], whose payload is canonical JSON for stage artifacts and
-//!   raw event bytes for traces — and described by human-readable run
+//!   raw event bytes for trace slices — and described by human-readable run
 //!   manifests. Corruption is detected on read and reported as a typed
 //!   [`CbspError`](cbsp_core::CbspError) — never a panic — and every
 //!   cache repairs it as a miss through [`ArtifactStore::lookup`].
@@ -19,6 +19,8 @@
 //!   (`profile → mappable → vli → simpoint → map`) with a hook that adds
 //!   per-stage cache lookup, key-chained invalidation and cancellation
 //!   at stage boundaries.
+//! * [`TraceCache`] — per-simpoint trace slices for the sliced CPI
+//!   estimate, cut from one live run on a miss (see [`traces`]).
 //!
 //! ## Example
 //!
@@ -67,6 +69,4 @@ pub use store::{
     canonical_json, content_hash, key_part, stage_key, ArtifactStore, GcReport, Lookup,
     ManifestStage, RunManifest, StageKey, StageStats, StoreBreakdown, StoreStats, SCHEMA_VERSION,
 };
-pub use traces::{
-    trace_key, trace_slice_key, CpiEstimate, TraceCache, TRACE_SLICE_STAGE, TRACE_STAGE,
-};
+pub use traces::{trace_slice_key, CpiEstimate, TraceCache, TRACE_SLICE_STAGE};

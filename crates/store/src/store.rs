@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 
 use crate::blob::{read_blob_stage, Blob};
 use crate::sha256::hex_digest;
-use crate::traces::{TRACE_SLICE_STAGE, TRACE_STAGE};
+use crate::traces::TRACE_SLICE_STAGE;
 
 /// Artifact schema version: it enters every stage key, so bumping it
 /// re-keys every artifact. Bump it when a payload encoding changes
@@ -162,11 +162,10 @@ pub struct StoreStats {
 pub struct StoreBreakdown {
     /// Pipeline-stage artifacts (`profile` … `map`, every lane).
     pub pipeline: StageStats,
-    /// Recorded event traces ([`TRACE_STAGE`]).
-    pub traces: StageStats,
     /// Sliced-trace manifests and slices ([`TRACE_SLICE_STAGE`]).
     pub slices: StageStats,
-    /// Everything else: the router's shard map, unreadable files.
+    /// Everything else: the router's shard map, unreadable files, and
+    /// full-trace blobs older versions recorded.
     pub other: StageStats,
     /// Pipeline-stage artifacts per estimator lane: the namespace's
     /// `@` suffix (`stratified`, `bbv+mav@fuzzy`, …), or `bbv` for the
@@ -185,14 +184,13 @@ fn is_pipeline_namespace(namespace: &str) -> bool {
 }
 
 impl StoreStats {
-    /// Splits the per-stage counts into pipeline stages, traces,
-    /// slices and the rest, with the pipeline stages also broken down
+    /// Splits the per-stage counts into pipeline stages, sliced traces
+    /// and the rest, with the pipeline stages also broken down
     /// by estimator lane.
     pub fn breakdown(&self) -> StoreBreakdown {
         let mut out = StoreBreakdown::default();
         for (stage, s) in &self.per_stage {
             let bucket = match stage.as_str() {
-                TRACE_STAGE => &mut out.traces,
                 TRACE_SLICE_STAGE => &mut out.slices,
                 ns if is_pipeline_namespace(ns) => {
                     let lane = ns.split_once('@').map_or("bbv", |(_, tag)| tag);
@@ -606,7 +604,7 @@ mod tests {
             "simpoint@stratified",
             "map@bbv+mav@early0.25@fuzzy",
             "cluster",
-            TRACE_STAGE,
+            "trace",
             TRACE_SLICE_STAGE,
         ];
         for (n, stage) in (0u64..).zip(stages) {
@@ -622,9 +620,12 @@ mod tests {
         let split = stats.breakdown();
         let count = |s: &StageStats| s.artifacts;
         assert_eq!(count(&split.pipeline), 4);
-        assert_eq!(count(&split.traces), 1);
         assert_eq!(count(&split.slices), 1);
-        assert_eq!(count(&split.other), 2, "shard map and legacy file");
+        assert_eq!(
+            count(&split.other),
+            3,
+            "shard map, an old full-trace blob and a legacy file"
+        );
         let lanes: Vec<(&str, u64)> = split
             .lanes
             .iter()
@@ -639,7 +640,7 @@ mod tests {
                 ("stratified", 1)
             ]
         );
-        let parts = [&split.pipeline, &split.traces, &split.slices, &split.other];
+        let parts = [&split.pipeline, &split.slices, &split.other];
         assert_eq!(parts.iter().map(|s| s.bytes).sum::<u64>(), stats.bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }

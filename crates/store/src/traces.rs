@@ -1,44 +1,46 @@
-//! Content-addressed event-trace cache: record each `(binary, input)`
-//! execution once per process — and once per store, across processes —
-//! and serve every later detailed simulation from the recorded
-//! [`EventTrace`].
+//! The sliced-trace cache: per-simpoint slices of each
+//! `(binary, input)` execution, cut from a live run once per process —
+//! and once per store, across processes — and replayed by every later
+//! CPI estimate.
 //!
-//! Two cache tiers:
+//! Two cache tiers, both keyed by [`trace_slice_key`]:
 //!
-//! * an in-memory map of [`Arc<EventTrace>`], shared by every consumer
-//!   holding the same [`TraceCache`] (one interpretation per
-//!   experiment run);
-//! * optionally, the [`ArtifactStore`], where traces persist keyed on
-//!   `(binary digest, input digest)` — the same content-addressing the
-//!   pipeline stages use — so repeat experiment runs skip
-//!   interpretation entirely.
+//! * an in-memory map of [`Arc<SlicedTrace>`], shared by every
+//!   consumer holding the same [`TraceCache`];
+//! * optionally, the [`ArtifactStore`], where slice manifests and their
+//!   per-slice blobs persist under the [`TRACE_SLICE_STAGE`] namespace,
+//!   so repeat queries skip simulation entirely.
+//!
+//! A miss interprets the binary straight into the cutting sink
+//! ([`cbsp_sim::simulate_slices`]): no full event trace is recorded,
+//! stored or kept in memory.
 //!
 //! ## Blob encodings
 //!
-//! Trace payloads are megabytes of varint event bytes. Like every store
-//! artifact they are blobs (see [`crate::blob`]), but with the event
-//! bytes as the raw payload and the fixed fields in the meta section
-//! rather than JSON. The read path is zero-copy — the payload buffer
-//! that comes off disk *becomes* [`EventTrace::bytes`], with no
-//! re-encode or intermediate copy — and a sliced-trace manifest's
-//! per-slice blobs are prefetched in parallel over a
-//! [`cbsp_par::Pool`] (independent files; the index-ordered merge
-//! keeps results byte-identical at any thread count).
+//! Like every store artifact, slices are blobs (see [`crate::blob`]),
+//! with the fixed fields in the meta section rather than JSON. A
+//! manifest blob carries the ground truth and the selected interval
+//! list; each slice's event bytes and state checkpoint live in their
+//! own blob under a [`derived_key`]. The read path is zero-copy — the
+//! payload buffer that comes off disk *becomes* the slice's event
+//! buffer — and a manifest's per-slice blobs are prefetched in parallel
+//! over a [`cbsp_par::Pool`] (independent files; the index-ordered
+//! merge keeps results byte-identical at any thread count).
 //!
 //! Corrupt or truncated blobs follow the repair-as-miss contract of
-//! [`ArtifactStore::lookup`]: typed errors, re-record, rewrite in
-//! place. A file of any other format under a trace key (such as a JSON
+//! [`ArtifactStore::lookup`]: typed errors, re-cut, rewrite in place.
+//! A file of any other format under a slice key (such as a JSON
 //! envelope written by an older version) is never read: the lookup
-//! misses, re-records, and writes the blob beside it, and `gc` evicts
-//! the orphan.
+//! misses, re-cuts, and writes the blob beside it, and `gc` evicts the
+//! orphan. So does `gc` with `trace` blobs older versions recorded.
 
 use cbsp_core::{weighted_cpi, weighted_cpi_with, CbspError, CrossBinaryResult};
 use cbsp_par::Pool;
 use cbsp_profile::ExecPoint;
 use cbsp_program::{Binary, Input};
 use cbsp_sim::{
-    record_trace, replay_slice, slice_trace, EventTrace, IntervalSim, LevelStats, MemoryConfig,
-    SimStats, SlicedTrace, TraceSlice,
+    replay_slice, simulate_slices, EventTrace, IntervalSim, LevelStats, MemoryConfig, SimStats,
+    SlicedTrace, TraceSlice,
 };
 use cbsp_simpoint::SimPoint;
 use std::collections::HashMap;
@@ -48,24 +50,10 @@ use crate::blob::{derived_key, Blob};
 use crate::store::{content_hash, corrupt, stage_key, ArtifactStore, Lookup, StageKey};
 use serde::Value;
 
-/// Stage name traces are stored under.
-pub const TRACE_STAGE: &str = "trace";
-
 /// Stage name sliced-trace manifests (and their per-slice blobs) are
-/// stored under. Like [`TRACE_STAGE`], artifacts in this namespace are
-/// never referenced by run manifests, so `gc` always evicts them.
+/// stored under. Artifacts in this namespace are never referenced by
+/// run manifests, so `gc` always evicts them.
 pub const TRACE_SLICE_STAGE: &str = "trace_slice";
-
-/// Content key of the trace for `(binary, input)`.
-pub fn trace_key(binary: &Binary, input: &Input) -> StageKey {
-    stage_key(
-        TRACE_STAGE,
-        &[
-            Value::Str(content_hash(binary)),
-            Value::Str(content_hash(input)),
-        ],
-    )
-}
 
 /// Content key of the slice manifest for `(binary, input)` sliced at
 /// `boundaries` under `config`, covering `selected` intervals.
@@ -157,34 +145,6 @@ fn read_stats(b: &[u8], pos: &mut usize) -> Option<SimStats> {
         dram_writebacks: f[10],
         branches: f[11],
         branch_mispredicts: f[12],
-    })
-}
-
-/// Blob meta of a full trace: `n_procs` + `n_loops` + `events`, all LE.
-/// The payload is the varint event bytes verbatim.
-fn trace_blob_meta(trace: &EventTrace) -> [u8; 16] {
-    let mut m = [0u8; 16];
-    m[0..4].copy_from_slice(&trace.n_procs.to_le_bytes());
-    m[4..8].copy_from_slice(&trace.n_loops.to_le_bytes());
-    m[8..16].copy_from_slice(&trace.events.to_le_bytes());
-    m
-}
-
-/// Adopts a verified trace blob as an [`EventTrace`]. The payload
-/// buffer *is* the event buffer — no copy.
-fn decode_trace_blob(blob: Blob) -> Option<EventTrace> {
-    if blob.meta.len() != 16 {
-        return None;
-    }
-    let mut p = 0;
-    let n_procs = read_u32(&blob.meta, &mut p)?;
-    let n_loops = read_u32(&blob.meta, &mut p)?;
-    let events = read_u64(&blob.meta, &mut p)?;
-    Some(EventTrace {
-        n_procs,
-        n_loops,
-        events,
-        bytes: blob.payload,
     })
 }
 
@@ -326,39 +286,48 @@ fn put_slice_blobs(
 // The cache
 // ---------------------------------------------------------------------
 
-/// A two-tier (memory + optional store) cache of recorded event traces.
+/// A two-tier (memory + optional store) cache of per-simpoint trace
+/// slices.
 ///
-/// Cheap to construct; scope one per experiment so its in-memory tier
-/// holds only the handful of binaries that experiment touches — or
-/// keep one for a process lifetime, as the serving daemon does, so
-/// both tiers stay warm across requests.
+/// Cheap to construct; scope one per query so its in-memory tier holds
+/// only the slices that query touches — or keep one for a process
+/// lifetime, as the serving daemon does, so both tiers stay warm
+/// across requests.
 #[derive(Debug)]
 pub struct TraceCache {
     store: Option<ArtifactStore>,
-    mem: Mutex<HashMap<String, Arc<EventTrace>>>,
-    /// In-memory tier of the sliced-trace path: per-simpoint slice
-    /// manifests keyed like the `trace_slice` store namespace.
+    /// In-memory tier: slice manifests keyed like the `trace_slice`
+    /// store namespace.
     slices: Mutex<HashMap<String, Arc<SlicedTrace>>>,
     /// Pool slice-blob prefetches fan out over.
     prefetch: Pool,
 }
 
+/// The slice key of a selection and the selection it keys: sorted and
+/// deduplicated, so the key is order-insensitive.
+fn normalized_key(
+    binary: &Binary,
+    input: &Input,
+    config: &MemoryConfig,
+    boundaries: &[ExecPoint],
+    selected: &[usize],
+) -> (StageKey, Vec<usize>) {
+    let mut wanted: Vec<usize> = selected.to_vec();
+    wanted.sort_unstable();
+    wanted.dedup();
+    let key = trace_slice_key(binary, input, config, boundaries, &wanted);
+    (key, wanted)
+}
+
 impl TraceCache {
-    /// Creates a cache backed by `store` (pass `None` for purely
-    /// in-memory record-once behaviour). The cache keeps its own
-    /// handle on the store.
+    /// Creates a cache backed by `store` (pass `None` for a purely
+    /// in-memory cache). The cache keeps its own handle on the store.
     pub fn new(store: Option<&ArtifactStore>) -> Self {
         TraceCache {
             store: store.cloned(),
-            mem: Mutex::new(HashMap::new()),
             slices: Mutex::new(HashMap::new()),
             prefetch: Pool::auto(),
         }
-    }
-
-    /// Creates a cache with no persistent tier.
-    pub fn in_memory() -> TraceCache {
-        TraceCache::new(None)
     }
 
     /// Overrides the pool slice-blob prefetches fan out over (the
@@ -386,84 +355,10 @@ impl TraceCache {
         }
     }
 
-    /// Returns the recorded trace for `(binary, input)`, interpreting
-    /// the binary only if neither cache tier has it. Safe to call from
-    /// pool workers; concurrent misses on the same key settle on one
-    /// entry.
-    ///
-    /// Store hits read the blob tier zero-copy (the read buffer is
-    /// handed out as [`EventTrace::bytes`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CbspError::StoreIo`] on store failure. A corrupt
-    /// stored trace is treated as a miss and repaired in place.
-    pub fn get_or_record(
-        &self,
-        binary: &Binary,
-        input: &Input,
-    ) -> Result<Arc<EventTrace>, CbspError> {
-        let key = trace_key(binary, input);
-        let mem_key = key.as_hex().to_string();
-        if let Some(t) = self.mem.lock().expect("trace cache lock").get(&mem_key) {
-            cbsp_trace::add("sim/trace_cache_hits", 1);
-            return Ok(Arc::clone(t));
-        }
-
-        let repair = match self.lookup(TRACE_STAGE, &key, decode_trace_blob)? {
-            Lookup::Hit(trace) => {
-                cbsp_trace::add("sim/trace_cache_hits", 1);
-                let trace = Arc::new(trace);
-                self.insert(mem_key, &trace);
-                return Ok(trace);
-            }
-            Lookup::Miss => false,
-            Lookup::Repair => true,
-        };
-
-        cbsp_trace::add("sim/trace_cache_misses", 1);
-        let trace = Arc::new(record_trace(binary, input));
-        if let Some(store) = &self.store {
-            let meta = trace_blob_meta(&trace);
-            if repair {
-                store.put_blob_overwrite(TRACE_STAGE, &key, &meta, &trace.bytes)?;
-            } else {
-                store.put_blob(TRACE_STAGE, &key, &meta, &trace.bytes)?;
-            }
-        }
-        self.insert(mem_key, &trace);
-        Ok(trace)
-    }
-
-    /// [`TraceCache::get_or_record`] for a batch of binaries sharing
-    /// one input, fanned out over `pool`. Results are in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first store error encountered, in input order.
-    pub fn get_or_record_all(
-        &self,
-        binaries: &[&Binary],
-        input: &Input,
-        pool: &Pool,
-    ) -> Result<Vec<Arc<EventTrace>>, CbspError> {
-        pool.run_indexed(binaries.len(), |i| self.get_or_record(binaries[i], input))
-            .into_iter()
-            .collect()
-    }
-
-    fn insert(&self, mem_key: String, trace: &Arc<EventTrace>) {
-        self.mem
-            .lock()
-            .expect("trace cache lock")
-            .insert(mem_key, Arc::clone(trace));
-    }
-
     /// Returns the per-simpoint slice manifest for `(binary, input)`
-    /// cut at `boundaries` covering `selected` intervals, materializing
-    /// it with one full replay only if neither cache tier has it. Warm
-    /// calls touch kilobytes of slice payload instead of the full
-    /// multi-megabyte trace (`sim/full_replay_avoided` counts them).
+    /// cut at `boundaries` covering `selected` intervals, cutting it
+    /// from one live run only if neither cache tier has it. Hits count
+    /// `sim/trace_cache_hits`, cuts `sim/trace_cache_misses`.
     ///
     /// Store hits read the manifest blob, then prefetch its per-slice
     /// blobs in parallel (`store/prefetch_fanouts` counts multi-slice
@@ -473,15 +368,13 @@ impl TraceCache {
     /// # Errors
     ///
     /// Returns [`CbspError::StoreIo`] on store failure. Corrupt stored
-    /// manifests or slice blobs — damaged framing, undecodable
-    /// payloads, or slice streams that fail to re-slice — are treated
-    /// as misses and repaired in place.
+    /// manifests or slice blobs — damaged framing or undecodable
+    /// payloads — are treated as misses and repaired in place.
     ///
     /// # Panics
     ///
-    /// Panics if some boundary is never reached by the recorded
-    /// execution (same contract as
-    /// [`cbsp_sim::replay_marker_sliced`]).
+    /// Panics if some boundary is never reached by the execution (same
+    /// contract as [`cbsp_sim::simulate_marker_sliced`]).
     pub fn get_slices(
         &self,
         binary: &Binary,
@@ -490,26 +383,27 @@ impl TraceCache {
         boundaries: &[ExecPoint],
         selected: &[usize],
     ) -> Result<Arc<SlicedTrace>, CbspError> {
-        let mut wanted: Vec<usize> = selected.to_vec();
-        wanted.sort_unstable();
-        wanted.dedup();
-        let key = trace_slice_key(binary, input, config, boundaries, &wanted);
-        let mem_key = key.as_hex().to_string();
-        if let Some(s) = self.slices.lock().expect("slice cache lock").get(&mem_key) {
-            cbsp_trace::add("sim/full_replay_avoided", 1);
+        let (key, wanted) = normalized_key(binary, input, config, boundaries, selected);
+        if let Some(s) = self
+            .slices
+            .lock()
+            .expect("slice cache lock")
+            .get(key.as_hex())
+        {
+            cbsp_trace::add("sim/trace_cache_hits", 1);
             return Ok(Arc::clone(s));
         }
 
         let repair = match self.lookup(TRACE_SLICE_STAGE, &key, |b| decode_slice_manifest(&b))? {
             Lookup::Hit(man) => match self.fetch_slice_blobs(&key, &man)? {
                 Some(slices) => {
-                    cbsp_trace::add("sim/full_replay_avoided", 1);
+                    cbsp_trace::add("sim/trace_cache_hits", 1);
                     let sliced = Arc::new(SlicedTrace {
                         full: man.full,
                         intervals: man.intervals,
                         slices,
                     });
-                    self.insert_slices(mem_key, &sliced);
+                    self.insert_slices(&key, &sliced);
                     return Ok(sliced);
                 }
                 // The manifest names a slice that is missing or
@@ -522,26 +416,38 @@ impl TraceCache {
             Lookup::Miss => false,
             Lookup::Repair => true,
         };
+        self.cut(binary, input, config, boundaries, &key, &wanted, repair)
+    }
 
-        // Materialize: one full replay cuts every requested slice. A
-        // full trace that fails to decode can only be a corrupt stored
-        // artifact — re-record it (repair-as-miss) and re-slice.
-        let full = self.get_or_record(binary, input)?;
-        let sliced = match slice_trace(&full, config, boundaries, &wanted) {
-            Ok(s) => s,
-            Err(_) => {
-                cbsp_trace::add("store/repairs", 1);
-                let fresh = self.rerecord(binary, input)?;
-                slice_trace(&fresh, config, boundaries, &wanted)
-                    .expect("freshly recorded trace decodes")
-            }
-        };
-        let sliced = Arc::new(sliced);
+    /// Cuts `wanted` from one live run of `(binary, input)` and files
+    /// the result in both tiers under `key`, replacing what was there
+    /// (`overwrite` rewrites stored blobs in place).
+    #[allow(clippy::too_many_arguments)]
+    fn cut(
+        &self,
+        binary: &Binary,
+        input: &Input,
+        config: &MemoryConfig,
+        boundaries: &[ExecPoint],
+        key: &StageKey,
+        wanted: &[usize],
+        overwrite: bool,
+    ) -> Result<Arc<SlicedTrace>, CbspError> {
+        cbsp_trace::add("sim/trace_cache_misses", 1);
+        let sliced = Arc::new(simulate_slices(binary, input, config, boundaries, wanted));
         if let Some(store) = &self.store {
-            put_slice_blobs(store, &key, full.n_procs, full.n_loops, &sliced, repair)?;
+            let (n_procs, n_loops) = (binary.procs.len() as u32, binary.loops.len() as u32);
+            put_slice_blobs(store, key, n_procs, n_loops, &sliced, overwrite)?;
         }
-        self.insert_slices(mem_key, &sliced);
+        self.insert_slices(key, &sliced);
         Ok(sliced)
+    }
+
+    fn insert_slices(&self, key: &StageKey, sliced: &Arc<SlicedTrace>) {
+        self.slices
+            .lock()
+            .expect("slice cache lock")
+            .insert(key.as_hex().to_string(), Arc::clone(sliced));
     }
 
     /// Reads every per-slice blob a manifest names, fanned out over the
@@ -575,35 +481,17 @@ impl TraceCache {
         Ok(fetched?.into_iter().collect::<Option<Vec<_>>>())
     }
 
-    /// Records `(binary, input)` afresh, replacing both cache tiers'
-    /// entries (the stored artifact decoded but its event stream was
-    /// corrupt).
-    fn rerecord(&self, binary: &Binary, input: &Input) -> Result<Arc<EventTrace>, CbspError> {
-        let key = trace_key(binary, input);
-        let trace = Arc::new(record_trace(binary, input));
-        if let Some(store) = &self.store {
-            store.put_blob_overwrite(TRACE_STAGE, &key, &trace_blob_meta(&trace), &trace.bytes)?;
-        }
-        self.insert(key.as_hex().to_string(), &trace);
-        Ok(trace)
-    }
-
-    fn insert_slices(&self, mem_key: String, sliced: &Arc<SlicedTrace>) {
-        self.slices
-            .lock()
-            .expect("slice cache lock")
-            .insert(mem_key, Arc::clone(sliced));
-    }
-
     /// True and SimPoint-estimated CPI for one binary, computed from
     /// per-simpoint trace slices: each selected interval's CPI comes
     /// from replaying its slice (an exact state checkpoint plus the
     /// interval's own events), and the whole-program truth comes from
     /// the slice manifest — so a warm call decodes only kilobytes.
     /// Slice replays are bit-identical to the in-context interval
-    /// statistics of a full replay, so the result is byte-identical
+    /// statistics of the cutting run, so the result is byte-identical
     /// across cache temperature and thread count, *and* to a full
     /// in-context replay through [`cbsp_sim::replay_marker_sliced`].
+    /// A cached slice whose event stream fails to decode is re-cut in
+    /// both tiers (`store/repairs` counts it).
     ///
     /// `phase_weights` follows [`weighted_cpi_with`] (the cross-binary
     /// scheme); pass `None` to use each point's own weight.
@@ -614,8 +502,7 @@ impl TraceCache {
     ///
     /// # Panics
     ///
-    /// Panics if some boundary is never reached by the recorded
-    /// execution.
+    /// Panics if some boundary is never reached by the execution.
     #[allow(clippy::too_many_arguments)]
     pub fn estimate_cpi_sliced(
         &self,
@@ -630,32 +517,21 @@ impl TraceCache {
         let _span = cbsp_trace::span_labeled("sim/estimate_sliced", || binary.label());
         let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
         let sliced = self.get_slices(binary, input, config, boundaries, &selected)?;
+        let (sliced, replayed) = match replay_all_slices(&sliced, config) {
+            Some(replayed) => (sliced, replayed),
+            None => {
+                // A slice stream that fails to decode is a corrupt
+                // cached manifest: re-cut it over both tiers.
+                cbsp_trace::add("store/repairs", 1);
+                let (key, wanted) = normalized_key(binary, input, config, boundaries, &selected);
+                let fresh = self.cut(binary, input, config, boundaries, &key, &wanted, true)?;
+                let replayed =
+                    replay_all_slices(&fresh, config).expect("freshly cut slices decode");
+                (fresh, replayed)
+            }
+        };
         let n = interval_count.max(sliced.intervals);
         let mut interval_cpis = vec![0.0f64; n];
-        let mut replayed: Option<Vec<(usize, IntervalSim)>> = replay_all_slices(&sliced, config);
-        if replayed.is_none() {
-            // A slice stream that fails to decode is a corrupt cached
-            // manifest: drop it from both tiers and re-materialize.
-            cbsp_trace::add("store/repairs", 1);
-            let mut wanted = selected.clone();
-            wanted.sort_unstable();
-            wanted.dedup();
-            let key = trace_slice_key(binary, input, config, boundaries, &wanted);
-            self.slices
-                .lock()
-                .expect("slice cache lock")
-                .remove(key.as_hex());
-            if let Some(store) = &self.store {
-                let full = self.get_or_record(binary, input)?;
-                let fresh = slice_trace(&full, config, boundaries, &wanted)
-                    .expect("freshly sliced trace decodes");
-                let fresh = Arc::new(fresh);
-                put_slice_blobs(store, &key, full.n_procs, full.n_loops, &fresh, true)?;
-                self.insert_slices(key.as_hex().to_string(), &fresh);
-                replayed = replay_all_slices(&fresh, config);
-            }
-        }
-        let replayed = replayed.expect("re-materialized slices decode");
         for (interval, stats) in replayed {
             if interval < n {
                 interval_cpis[interval] = stats.cpi();
@@ -672,6 +548,7 @@ impl TraceCache {
             interval_cpis,
         })
     }
+
     /// [`TraceCache::estimate_cpi_sliced`] for every binary of `cross`,
     /// one job per binary on `pool`, in binary order: binary `b` at its
     /// own mapped boundaries with its recalculated phase weights.
@@ -738,7 +615,7 @@ mod tests {
     use super::*;
     use cbsp_profile::MarkerRef;
     use cbsp_program::{compile, run, workloads, CompileTarget, Marker, Scale, TraceSink};
-    use cbsp_sim::{replay_full, simulate_full, MemoryConfig};
+    use cbsp_sim::{record_trace, MemoryConfig};
 
     fn test_binary() -> Binary {
         let prog = workloads::by_name("gzip")
@@ -819,114 +696,13 @@ mod tests {
     }
 
     #[test]
-    fn memory_tier_records_once() {
-        let bin = test_binary();
-        let input = Input::test();
-        let cache = TraceCache::in_memory();
-        let recorder = Arc::new(cbsp_trace::Recorder::new());
-        let installed = recorder.install();
-        let t1 = cache.get_or_record(&bin, &input).expect("records");
-        let t2 = cache.get_or_record(&bin, &input).expect("hits");
-        assert!(Arc::ptr_eq(&t1, &t2), "second call serves the same trace");
-        let counters = cbsp_trace::snapshot().counters;
-        drop(installed);
-        assert_eq!(counters.get("sim/trace_cache_misses"), Some(&1));
-        assert_eq!(counters.get("sim/trace_cache_hits"), Some(&1));
-        assert!(counters.get("sim/record_bytes").copied().unwrap_or(0) > 0);
-    }
-
-    #[test]
-    fn store_tier_serves_blob_hits_zero_decode() {
-        let bin = test_binary();
-        let input = Input::test();
-        let (store, dir) = temp_store("persist");
-
-        let first = TraceCache::new(Some(&store));
-        let t1 = first.get_or_record(&bin, &input).expect("records");
-        // The recording landed in the blob tier, not a JSON envelope.
-        let key = trace_key(&bin, &input);
-        assert!(store.contains_blob(&key), "trace stored as a blob");
-        assert!(
-            !envelope_path(&store, &key).exists(),
-            "no JSON envelope written"
-        );
-
-        // A fresh cache (fresh process, conceptually) hits the store.
-        let second = TraceCache::new(Some(&store));
-        let recorder = Arc::new(cbsp_trace::Recorder::new());
-        let installed = recorder.install();
-        let t2 = second.get_or_record(&bin, &input).expect("store hit");
-        let counters = cbsp_trace::snapshot().counters;
-        drop(installed);
-        assert_eq!(*t1, *t2, "stored trace round-trips exactly");
-        assert_eq!(counters.get("sim/trace_cache_hits"), Some(&1));
-        assert_eq!(counters.get("sim/trace_cache_misses"), None);
-        assert_eq!(counters.get("store/blob_reads"), Some(&1));
-
-        // And the replayed simulation equals direct interpretation.
-        let cfg = MemoryConfig::table1();
-        assert_eq!(
-            replay_full(&t2, &cfg).expect("decodes"),
-            simulate_full(&bin, &input, &cfg)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_stored_trace_blob_is_repaired() {
-        let bin = test_binary();
-        let input = Input::test();
-        let (store, dir) = temp_store("repair");
-        let cache = TraceCache::new(Some(&store));
-        let t1 = cache.get_or_record(&bin, &input).expect("records");
-
-        // Truncate the blob on disk.
-        let path = store.blob_path(&trace_key(&bin, &input));
-        let bytes = std::fs::read(&path).expect("blob exists");
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
-
-        let fresh = TraceCache::new(Some(&store));
-        let t2 = fresh.get_or_record(&bin, &input).expect("repairs");
-        assert_eq!(*t1, *t2);
-        // Repaired in place: a third cache now hits cleanly.
-        let third = TraceCache::new(Some(&store));
-        let t3 = third.get_or_record(&bin, &input).expect("hits");
-        assert_eq!(*t1, *t3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pool_fanout_records_each_binary_once() {
-        let prog = workloads::by_name("gzip")
-            .expect("in suite")
-            .build(Scale::Test);
-        let bins: Vec<Binary> = CompileTarget::ALL_FOUR
-            .iter()
-            .map(|&t| compile(&prog, t))
-            .collect();
-        let refs: Vec<&Binary> = bins.iter().collect();
-        let input = Input::test();
-        let cache = TraceCache::in_memory();
-        let pool = Pool::new(8);
-        let traces = cache
-            .get_or_record_all(&refs, &input, &pool)
-            .expect("records");
-        assert_eq!(traces.len(), 4);
-        // Same batch again: all four come back as the same allocations.
-        let again = cache.get_or_record_all(&refs, &input, &pool).expect("hits");
-        for (a, b) in traces.iter().zip(&again) {
-            assert!(Arc::ptr_eq(a, b));
-        }
-    }
-
-    #[test]
-    fn warm_slice_manifest_avoids_the_full_replay() {
+    fn memory_tier_cuts_each_selection_once() {
         let bin = test_binary();
         let input = Input::test();
         let (boundaries, points) = boundaries_and_points(&bin, &input);
         let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
         let config = MemoryConfig::table1();
-        let cache = TraceCache::in_memory();
+        let cache = TraceCache::new(None);
 
         let recorder = Arc::new(cbsp_trace::Recorder::new());
         let installed = recorder.install();
@@ -941,10 +717,15 @@ mod tests {
         drop(installed);
 
         assert!(Arc::ptr_eq(&cold, &warm), "same manifest allocation");
-        assert_eq!(cold_counters.get("sim/full_replay_avoided"), None);
-        assert_eq!(warm_counters.get("sim/full_replay_avoided"), Some(&1));
-        // The manifest is a small fraction of the full trace.
-        let full = cache.get_or_record(&bin, &input).expect("cached");
+        assert_eq!(cold_counters.get("sim/trace_cache_misses"), Some(&1));
+        assert_eq!(cold_counters.get("sim/trace_cache_hits"), None);
+        assert_eq!(warm_counters.get("sim/trace_cache_misses"), Some(&1));
+        assert_eq!(warm_counters.get("sim/trace_cache_hits"), Some(&1));
+        // The cut recorded no full trace, and the manifest is a small
+        // fraction of one.
+        let slice_bytes: u64 = cold.slices.iter().map(|s| s.trace.bytes.len() as u64).sum();
+        assert_eq!(cold_counters.get("sim/record_bytes"), Some(&slice_bytes));
+        let full = record_trace(&bin, &input);
         assert!(
             cold.encoded_len() < full.bytes.len(),
             "slices {} vs full trace {}",
@@ -997,7 +778,7 @@ mod tests {
         drop(installed);
 
         assert_eq!(*cold, *warm, "stored manifest round-trips exactly");
-        assert_eq!(counters.get("sim/full_replay_avoided"), Some(&1));
+        assert_eq!(counters.get("sim/trace_cache_hits"), Some(&1));
         assert_eq!(counters.get("sim/trace_cache_misses"), None);
         // Manifest + per-slice blobs were all read through the blob
         // tier; multi-slice reads fan out.
@@ -1112,13 +893,13 @@ mod tests {
         std::fs::write(&path, crate::canonical_json(&envelope)).expect("writes envelope");
     }
 
-    /// A JSON envelope under a stage, trace or slice-manifest key (the
-    /// format older versions wrote) is never read: each lookup is a
-    /// clean miss that computes afresh and writes the blob beside it,
-    /// and `gc` evicts every envelope — even one whose key a run
-    /// manifest references.
+    /// A JSON envelope under a stage or slice-manifest key (the format
+    /// older versions wrote) is never read: each lookup is a clean
+    /// miss that computes afresh and writes the blob beside it, and
+    /// `gc` evicts every envelope — even one whose key a run manifest
+    /// references.
     #[test]
-    fn stale_envelopes_under_trace_keys_are_misses_that_gc_evicts() {
+    fn stale_envelopes_under_slice_keys_are_misses_that_gc_evicts() {
         use crate::{pipeline_keys, CachePolicy, Orchestrator};
         let bin = test_binary();
         let input = Input::test();
@@ -1134,11 +915,8 @@ mod tests {
         let vkey = pipeline_keys(&[&bin], &input, &pipeline)
             .expect("keys derive")
             .vli;
-        let tkey = trace_key(&bin, &input);
         let skey = trace_slice_key(&bin, &input, &config, &boundaries, &selected);
         write_envelope(&store, "vli", &vkey, Value::UInt(1));
-        let stale = Value::Object(vec![("data".to_string(), Value::Str("AAAA".to_string()))]);
-        write_envelope(&store, TRACE_STAGE, &tkey, stale);
         write_envelope(&store, TRACE_SLICE_STAGE, &skey, Value::UInt(3));
 
         let cache = TraceCache::new(Some(&store));
@@ -1149,9 +927,6 @@ mod tests {
             .expect("pipeline runs");
         let stage_counters = cbsp_trace::snapshot().counters;
         cbsp_trace::reset();
-        let trace = cache.get_or_record(&bin, &input).expect("records");
-        let trace_counters = cbsp_trace::snapshot().counters;
-        cbsp_trace::reset();
         let sliced = cache
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("slices");
@@ -1159,33 +934,113 @@ mod tests {
         drop(installed);
 
         assert_eq!(run.hits(), 0, "the vli envelope is not a hit");
-        assert_eq!(trace_counters.get("sim/trace_cache_misses"), Some(&1));
-        assert_eq!(trace_counters.get("sim/trace_cache_hits"), None);
-        assert_eq!(slice_counters.get("sim/full_replay_avoided"), None);
-        for counters in [&stage_counters, &trace_counters, &slice_counters] {
+        assert_eq!(slice_counters.get("sim/trace_cache_misses"), Some(&1));
+        assert_eq!(slice_counters.get("sim/trace_cache_hits"), None);
+        for counters in [&stage_counters, &slice_counters] {
             assert_eq!(counters.get("store/repairs"), None, "a miss, not a repair");
         }
-        assert_eq!(*trace, record_trace(&bin, &input));
-        let fresh = TraceCache::in_memory()
+        let fresh = TraceCache::new(None)
             .get_slices(&bin, &input, &config, &boundaries, &selected)
             .expect("slices");
         assert_eq!(*sliced, *fresh);
         // The blobs landed beside the untouched envelopes.
-        for key in [&vkey, &tkey, &skey] {
+        for key in [&vkey, &skey] {
             assert!(store.contains_blob(key) && envelope_path(&store, key).is_file());
         }
 
-        // gc keeps the manifest-referenced stage blobs and takes all
-        // three envelopes (the vli one although the manifest names its
-        // key) along with the trace, manifest and slice blobs.
+        // gc keeps the manifest-referenced stage blobs and takes both
+        // envelopes (the vli one although the manifest names its key)
+        // along with the manifest and slice blobs.
         let report = store.gc().expect("gc runs");
         assert_eq!(report.kept, run.outcomes.len() as u64);
-        assert_eq!(report.removed, 5 + sliced.slices.len() as u64);
-        for key in [&vkey, &tkey, &skey] {
+        assert_eq!(report.removed, 3 + sliced.slices.len() as u64);
+        for key in [&vkey, &skey] {
             assert!(!envelope_path(&store, key).exists());
         }
         assert!(store.contains_blob(&vkey));
-        assert!(!store.contains_blob(&tkey) && !store.contains_blob(&skey));
+        assert!(!store.contains_blob(&skey));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The estimate path writes slices and no full trace: after a cold
+    /// estimate the store holds only stage-free `trace_slice` blobs,
+    /// and a `trace` blob an older version recorded is neither read
+    /// nor rewritten — `gc` evicts it with the slices.
+    #[test]
+    fn estimates_store_slices_and_no_full_trace() {
+        let bin = test_binary();
+        let input = Input::test();
+        let (boundaries, points) = boundaries_and_points(&bin, &input);
+        let config = MemoryConfig::table1();
+        let (store, dir) = temp_store("no-full-trace");
+        let old = stage_key("trace", &[Value::Str(content_hash(&bin))]);
+        store
+            .put_blob("trace", &old, &[0; 16], b"old")
+            .expect("puts");
+
+        let n = boundaries.len() + 1;
+        TraceCache::new(Some(&store))
+            .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
+            .expect("cold estimate");
+        let stats = store.stats().expect("stats");
+        let stages: Vec<&str> = stats.per_stage.keys().map(String::as_str).collect();
+        assert_eq!(stages, ["trace", TRACE_SLICE_STAGE]);
+        assert_eq!(stats.per_stage["trace"].artifacts, 1, "only the old blob");
+        assert_eq!(stats.breakdown().other.artifacts, 1);
+        assert_eq!(
+            stats.per_stage[TRACE_SLICE_STAGE].artifacts,
+            1 + points.len() as u64,
+            "one manifest plus one blob per selected interval"
+        );
+        assert_eq!(store.gc().expect("gc").removed, stats.artifacts);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cached slice that passes blob framing but whose event stream
+    /// does not decode is re-cut by the estimate, in both tiers: the
+    /// answer equals a clean cold estimate and the next cache hits.
+    #[test]
+    fn undecodable_slice_stream_is_recut_by_the_estimate() {
+        let bin = test_binary();
+        let input = Input::test();
+        let (boundaries, points) = boundaries_and_points(&bin, &input);
+        let selected: Vec<usize> = points.iter().map(|p| p.interval).collect();
+        let config = MemoryConfig::table1();
+        let (store, dir) = temp_store("slice-stream-recut");
+        let n = boundaries.len() + 1;
+        let clean = TraceCache::new(None)
+            .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
+            .expect("clean estimate");
+
+        let first = TraceCache::new(Some(&store));
+        let cold = first
+            .get_slices(&bin, &input, &config, &boundaries, &selected)
+            .expect("cuts");
+        // Rewrite slice 2's blob, well framed, with a truncated stream.
+        let key = trace_slice_key(&bin, &input, &config, &boundaries, &selected);
+        let mut damaged = cold.slices[1].clone();
+        damaged.trace.bytes.truncate(damaged.trace.bytes.len() / 2);
+        let (meta, payload) = slice_blob_parts(&damaged);
+        let skey = derived_key(&key, "slice", damaged.interval as u64);
+        store
+            .put_blob_overwrite(TRACE_SLICE_STAGE, &skey, &meta, &payload)
+            .expect("overwrites");
+
+        let recorder = Arc::new(cbsp_trace::Recorder::new());
+        let installed = recorder.install();
+        let repaired = TraceCache::new(Some(&store))
+            .estimate_cpi_sliced(&bin, &input, &config, &boundaries, &points, None, n)
+            .expect("re-cuts");
+        let counters = cbsp_trace::snapshot().counters;
+        drop(installed);
+        assert_eq!(repaired, clean);
+        assert_eq!(counters.get("store/repairs"), Some(&1));
+        assert_eq!(counters.get("sim/trace_cache_hits"), Some(&1));
+        assert_eq!(counters.get("sim/trace_cache_misses"), Some(&1));
+        let warm = TraceCache::new(Some(&store))
+            .get_slices(&bin, &input, &config, &boundaries, &selected)
+            .expect("hits");
+        assert_eq!(*warm, *cold, "rewritten in place");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
